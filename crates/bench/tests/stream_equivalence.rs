@@ -7,11 +7,18 @@
 //! on all three machine models. The stream digest must additionally be
 //! chunk-size-invariant, since it is the streaming memo key.
 //!
-//! A randomized sweep replays generated traces (single-thread, and
-//! two-thread with satisfiable cross-thread acquire/release hand-offs)
-//! over random chunk boundaries for the same full-struct equality.
+//! A randomized sweep replays generated traces (single-thread,
+//! two-thread with satisfiable cross-thread acquire/release hand-offs, and
+//! 3–5 thread groups shaped to stress the scheduler) over random chunk
+//! boundaries for the same full-struct equality. The groups pin the
+//! scheduler's lowest-id tie-break and its wake-after-release rule on the
+//! materialized loop, the streaming loop (chunk sizes 1, random and
+//! default) and the hashed reference engine alike.
 
-use machine::{try_simulate_stream_opts, try_simulate_threads, MachineConfig, StreamOptions};
+use machine::{
+    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_reference,
+    MachineConfig, RunStats, StreamOptions,
+};
 use prestore::PrestoreMode;
 use simcore::rng::SimRng;
 use simcore::stream::digest_source;
@@ -137,6 +144,127 @@ fn random_pair(rng: &mut SimRng, events: usize) -> Vec<ThreadTrace> {
     }
     t1.fence();
     vec![t0.finish(), t1.finish()]
+}
+
+/// A generated 3–5 thread trace shaped to stress the scheduler.
+///
+/// Threads 0 and 1 release `k` times each, on lines `SYNC[0]` and
+/// `SYNC[1]`, and never acquire — so every acquire is satisfiable at run
+/// time and no wait is circular. Every other thread opens with an acquire
+/// of `SYNC[0]`'s first release, so at clock 0 several cores block on one
+/// line and wake together at the release's time; later acquires walk both
+/// lines' release sequences upward. Fixed-cost computes and writes to a
+/// small shared pool keep clocks colliding, so lowest-id tie-breaks decide
+/// many steps.
+fn random_group(rng: &mut SimRng, threads: usize, events: usize) -> Vec<ThreadTrace> {
+    const SYNC: [u64; 2] = [1 << 30, (1 << 30) + 4096];
+    let k = 2 + rng.gen_range(3) as u32;
+    let p_sync = f64::from(k) / events.max(1) as f64;
+    (0..threads)
+        .map(|tid| {
+            let mut t = Tracer::new();
+            // Next release number this thread performs (releasers) or
+            // awaits (acquirers), per sync line.
+            let mut next = [1u32; 2];
+            if tid >= 2 {
+                t.acquire(SYNC[0], 1);
+                next[0] = 2;
+            }
+            for _ in 0..events {
+                let addr = rng.gen_range(64) * 64;
+                match rng.gen_range(8) {
+                    0 | 1 => t.write(addr, 64),
+                    2 | 3 => t.read(addr, 64),
+                    4 => t.compute(40),
+                    5 => t.fence(),
+                    _ if rng.gen_bool(p_sync.min(1.0)) => {
+                        if tid < 2 {
+                            if next[tid] <= k {
+                                t.atomic(SYNC[tid], 8);
+                                next[tid] += 1;
+                            }
+                        } else {
+                            let line = rng.gen_range(2) as usize;
+                            if next[line] <= k {
+                                t.acquire(SYNC[line], next[line]);
+                                next[line] += 1;
+                            }
+                        }
+                    }
+                    _ => t.compute(40),
+                }
+            }
+            if tid < 2 {
+                while next[tid] <= k {
+                    t.atomic(SYNC[tid], 8);
+                    next[tid] += 1;
+                }
+            }
+            t.fence();
+            t.finish()
+        })
+        .collect()
+}
+
+/// What a group replay's schedule decides: every core's final clock
+/// (wake times and tie-breaks move these first) plus the shared-cache and
+/// device counters, folded into one FNV-1a-style word.
+fn schedule_digest(r: &RunStats) -> u64 {
+    let fields = r.cores.iter().map(|c| c.cycles).chain([
+        r.l1.hits,
+        r.l1.misses,
+        r.llc.hits,
+        r.llc.misses,
+        r.device.media_bytes_written,
+    ]);
+    fields.fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// [`schedule_digest`] of each round's materialized replay on
+/// machine_a, machine_b_fast and machine_b_slow, captured on the
+/// full-scan scheduler that rescanned every core on every step. They pin
+/// the lowest-id tie-break and the wake-after-release rule themselves,
+/// not just agreement between the replay loops.
+const GROUP_GOLDENS: [[u64; 3]; 6] = [
+    [0x343fdb312a92f4d9, 0x6c8e0324cfe5f073, 0x602db8c6ab08df8b],
+    [0xf0eda9efd55dbd41, 0xbe3178fb1e84732a, 0xb3dccb38fc61b499],
+    [0x222d7c2dd0ea46f8, 0xfbedf10ac8760b76, 0xa05bcf23759c3433],
+    [0xdb0ebd9dcfc2abf9, 0x22f12edac60e3cbc, 0x66f3abb6a7013c6e],
+    [0xfd51ade24c5aaf3e, 0x8a7b8ff1e0e77de8, 0x48b1a60ec467f10e],
+    [0x7b1db4a7e509f652, 0x68a122f08750cc4e, 0x82658238428b9b00],
+];
+
+#[test]
+fn random_groups_match_across_loops_and_reference() {
+    let mut rng = SimRng::new(0x5C4E_D01E);
+    for (round, goldens) in GROUP_GOLDENS.iter().enumerate() {
+        let threads = 3 + round % 3;
+        let events = 100 + rng.gen_range(600) as usize;
+        let group = random_group(&mut rng, threads, events);
+        let chunk = 1 + rng.gen_range(97) as usize;
+        for ((mname, cfg), &golden_digest) in machines().into_iter().zip(goldens) {
+            let what = format!("random-group{threads}/round{round}@{mname}");
+            let golden = try_simulate_threads(&cfg, &group)
+                .unwrap_or_else(|e| panic!("{what}: materialized failed: {e}"));
+            assert_eq!(
+                schedule_digest(&golden),
+                golden_digest,
+                "{what}: schedule drifted from the full-scan golden"
+            );
+            let reference = try_simulate_threads_reference(&cfg, &group)
+                .unwrap_or_else(|e| panic!("{what}: reference failed: {e}"));
+            assert_eq!(reference, golden, "{what}: reference engine diverged");
+            for chunk_events in [1, chunk, StreamOptions::default().chunk_events] {
+                let mut src = SliceSource::new(&group);
+                let report =
+                    try_simulate_stream_opts(&cfg, &mut src, StreamOptions { chunk_events })
+                        .unwrap_or_else(|e| {
+                            panic!("{what}: streaming failed (chunk {chunk_events}): {e}")
+                        });
+                assert_eq!(report.stats, golden, "{what}: chunk {chunk_events}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -153,28 +153,6 @@ impl StoreBuffer {
         }
     }
 
-    /// An empty, allocation-free stand-in buffer.
-    ///
-    /// Useful as the temporary value of a `mem::replace` dance when a
-    /// caller needs to move a real buffer out of a struct field: unlike
-    /// [`StoreBuffer::new`], this performs no heap allocation, so it is
-    /// free to construct on a per-event hot path. Pushing into it overflows
-    /// immediately (capacity 1, no backing storage is reserved).
-    pub fn placeholder() -> Self {
-        Self {
-            entries: VecDeque::new(),
-            lines: VecDeque::new(),
-            cap: 1,
-            started: 0,
-            head_done: Cycles::MAX,
-            next_earliest: 0,
-            last_done: 0,
-            mlp: DEFAULT_MLP,
-            retired: Vec::new(),
-            track_retired: true,
-        }
-    }
-
     /// Enable or disable recording of retired lines.
     ///
     /// The engine's replay loop schedules drains but never consumes the
@@ -209,9 +187,11 @@ impl StoreBuffer {
         simcore::simd::contains_u64(a, line) || simcore::simd::contains_u64(b, line)
     }
 
-    /// Position of the entry covering `line`, if any (entry order).
+    /// Position of the entry covering `line`, if any (entry order). Pass
+    /// it to [`StoreBuffer::next_unstarted_through`] to start that entry's
+    /// drain (a demote), without scanning for the line again.
     #[inline]
-    fn position_of(&self, line: Addr) -> Option<usize> {
+    pub fn position_of(&self, line: Addr) -> Option<usize> {
         let (a, b) = self.lines.as_slices();
         simcore::simd::find_u64(a, line)
             .or_else(|| simcore::simd::find_u64(b, line).map(|p| p + a.len()))
@@ -298,7 +278,7 @@ impl StoreBuffer {
 
     /// The first entry whose drain has not been scheduled yet, if any.
     ///
-    /// Pull-style counterpart of [`StoreBuffer::start_all_id`]: a caller
+    /// Pull-style counterpart of [`StoreBuffer::start_all`]: a caller
     /// whose cost computation needs `&mut` access to state that *contains*
     /// this buffer can alternate `next_unstarted` / [`StoreBuffer::
     /// schedule_next`] instead of passing a closure (which would force the
@@ -306,6 +286,18 @@ impl StoreBuffer {
     #[inline]
     pub fn next_unstarted(&self) -> Option<(Addr, LineId)> {
         self.entries.get(self.started).map(|e| (e.line, e.id))
+    }
+
+    /// [`StoreBuffer::next_unstarted`], but only while the first
+    /// unscheduled entry is at or before position `last` — the pull form of
+    /// a demote, which must start every earlier entry first to keep FIFO
+    /// visibility order.
+    #[inline]
+    pub fn next_unstarted_through(&self, last: usize) -> Option<(Addr, LineId)> {
+        if self.started > last {
+            return None;
+        }
+        self.next_unstarted()
     }
 
     /// Schedule the drain of the first unscheduled entry — the one
@@ -325,20 +317,9 @@ impl StoreBuffer {
     ///
     /// Returns the completion time of the latest drain (at least `now`).
     pub fn start_all(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        self.start_all_id(now, |line, _| cost(line))
-    }
-
-    /// [`StoreBuffer::start_all`] with the cost callback receiving each
-    /// entry's dense line id alongside its address.
-    pub fn start_all_id(
-        &mut self,
-        now: Cycles,
-        mut cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
-        while self.started < self.entries.len() {
-            let e = self.entries[self.started];
-            let c = cost(e.line, e.id);
-            self.schedule(self.started, now, c);
+        while let Some((line, _)) = self.next_unstarted() {
+            let c = cost(line);
+            self.schedule_next(now, c);
         }
         self.last_done.max(now)
     }
@@ -355,40 +336,30 @@ impl StoreBuffer {
         now: Cycles,
         mut cost: impl FnMut(Addr) -> Cycles,
     ) -> Cycles {
-        self.demote_id(line, now, |l, _| cost(l))
-    }
-
-    /// [`StoreBuffer::demote`] with an id-aware cost callback.
-    pub fn demote_id(
-        &mut self,
-        line: Addr,
-        now: Cycles,
-        mut cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
         let Some(pos) = self.position_of(line) else {
             return now;
         };
-        while self.started <= pos {
-            let e = self.entries[self.started];
-            let c = cost(e.line, e.id);
-            self.schedule(self.started, now, c);
+        while let Some((l, _)) = self.next_unstarted_through(pos) {
+            let c = cost(l);
+            self.schedule_next(now, c);
         }
         self.entries[pos].drain_done.unwrap_or(now)
     }
 
     /// Drain everything and empty the buffer (a fence). Returns the cycle
     /// at which the last drain completes — the fence cannot retire earlier.
-    pub fn drain_all(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        self.drain_all_id(now, |l, _| cost(l))
+    pub fn drain_all(&mut self, now: Cycles, cost: impl FnMut(Addr) -> Cycles) -> Cycles {
+        let done = self.start_all(now, cost);
+        self.retire_all();
+        done
     }
 
-    /// [`StoreBuffer::drain_all`] with an id-aware cost callback.
-    pub fn drain_all_id(
-        &mut self,
-        now: Cycles,
-        cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
-        let done = self.start_all_id(now, cost);
+    /// Empty the buffer once every entry's drain is scheduled — the tail of
+    /// a fence whose drains were started through the pull-style
+    /// [`StoreBuffer::next_unstarted`] / [`StoreBuffer::schedule_next`]
+    /// loop. The fence completes at [`StoreBuffer::last_drain_done`].
+    pub fn retire_all(&mut self) {
+        debug_assert_eq!(self.started, self.entries.len(), "retire_all before every drain started");
         if self.track_retired {
             self.retired.extend(self.entries.iter().map(|e| e.line));
         }
@@ -396,7 +367,6 @@ impl StoreBuffer {
         self.lines.clear();
         self.started = 0;
         self.head_done = Cycles::MAX;
-        done
     }
 
     /// Force the head entry out (capacity pressure). Returns the cycle at
@@ -674,6 +644,37 @@ mod tests {
         check(&sb);
         assert!(sb.is_empty());
         assert!(!sb.contains(0));
+    }
+
+    #[test]
+    fn pull_style_demote_and_fence_match_the_closure_forms() {
+        let mut closure = StoreBuffer::with_mlp(8, 10);
+        let mut pull = StoreBuffer::with_mlp(8, 10);
+        for sb in [&mut closure, &mut pull] {
+            for (i, line) in [0u64, 64, 128, 192].into_iter().enumerate() {
+                sb.push(line, i as Cycles);
+            }
+        }
+        // Demote of the third entry: the first three drains start (II =
+        // 100/10), the fourth does not.
+        let done = closure.demote(128, 5, |_| 100);
+        assert_eq!(done, 5 + 2 * 10 + 100);
+        let pos = pull.position_of(128).expect("pending");
+        assert_eq!(pos, 2);
+        while pull.next_unstarted_through(pos).is_some() {
+            pull.schedule_next(5, 100);
+        }
+        assert_eq!(pull.next_unstarted(), Some((192, LineId::INVALID)));
+        assert_eq!(pull.last_drain_done(), done);
+        // Fence: schedule the rest, then retire everything.
+        let fence = closure.drain_all(50, |_| 100);
+        while pull.next_unstarted().is_some() {
+            pull.schedule_next(50, 100);
+        }
+        assert_eq!(pull.last_drain_done().max(50), fence);
+        pull.retire_all();
+        assert!(closure.is_empty() && pull.is_empty());
+        assert_eq!(closure.take_retired(), pull.take_retired());
     }
 
     #[test]

@@ -6,7 +6,20 @@
 //! Each core owns a local clock, a store buffer, a private L1 and a pool of
 //! write-combining buffers; all cores share the LLC and the memory device.
 //! Cores are interleaved by always stepping the core with the smallest
-//! local clock, so shared-cache contention follows simulated time.
+//! local clock (lowest core id on ties), so shared-cache contention follows
+//! simulated time.
+//!
+//! # Scheduling
+//!
+//! The materialized and streaming loops share one decision over a compact
+//! `Schedule`: a dense clock array holding each core's clock, or
+//! [`Cycles::MAX`] while the core is finished or blocked on an acquire.
+//! The next core is the array's argmin, and only the stepped core's slot
+//! is refreshed after its step. A blocked core can only wake after a
+//! release — release counts change only on `Atomic` steps — so blocked
+//! cores are re-checked only after those (and once up front, for
+//! crash-image resumes). That wakes each core at exactly the step and
+//! clock a rescan of every core on every step would.
 //!
 //! Latency effects (fence stalls, ownership acquisition, writeback-in-
 //! flight conflicts) are accounted on the core clocks. Bandwidth effects
@@ -139,6 +152,54 @@ struct CoreState {
     /// Acquire this core is blocked on: (line, id, release sequence
     /// number).
     blocked: Option<(Addr, LineId, u32)>,
+}
+
+/// Dense scheduler state of one replay (see the module docs'
+/// "Scheduling"): one clock slot per core, refreshed only for the stepped
+/// core, and a flag raised by `Atomic` steps — the only steps that change
+/// `release_get`, and so the only ones after which a blocked core can wake.
+struct Schedule {
+    /// Each core's clock, or [`Cycles::MAX`] while the core is finished or
+    /// blocked on an acquire.
+    clock: Vec<Cycles>,
+    /// A release may have satisfied a blocked acquire since blocked cores
+    /// were last re-checked.
+    wake_pending: bool,
+}
+
+impl Schedule {
+    /// A schedule over the cores' current state; `end(cid)` is one past
+    /// the last event core `cid` can currently step.
+    fn new(cores: &[CoreState], end: impl Fn(CoreId) -> usize) -> Self {
+        let clock = cores.iter().enumerate().map(|(cid, c)| Self::slot(c, end(cid))).collect();
+        Self { clock, wake_pending: true }
+    }
+
+    #[inline]
+    fn slot(core: &CoreState, end: usize) -> Cycles {
+        if core.pc >= end || core.blocked.is_some() { Cycles::MAX } else { core.now }
+    }
+
+    /// Record that core `cid` just stepped an event of `kind`.
+    #[inline]
+    fn stepped(&mut self, cid: CoreId, core: &CoreState, end: usize, kind: EventKind) {
+        self.clock[cid] = Self::slot(core, end);
+        self.wake_pending |= kind == EventKind::Atomic;
+    }
+
+    /// The core with the smallest finite clock slot, lowest id on ties.
+    #[inline]
+    fn argmin(&self) -> Option<CoreId> {
+        let mut best = 0;
+        let mut t = self.clock[0];
+        for (cid, &c) in self.clock.iter().enumerate().skip(1) {
+            if c < t {
+                best = cid;
+                t = c;
+            }
+        }
+        (t < Cycles::MAX).then_some(best)
+    }
 }
 
 /// State of a crash-armed replay: the plan, the progress counters it
@@ -995,44 +1056,18 @@ impl<'a, T: LineTables> Engine<'a, T> {
 
     /// The generic replay scheduler: step the runnable core with the
     /// smallest clock that still has events; blocked cores wake up when
-    /// their awaited release lands. Returns `Ok(true)` when an armed crash
-    /// plan fired (the caller freezes the machine at `steps`).
+    /// their awaited release lands (see [`Schedule`]). Returns `Ok(true)`
+    /// when an armed crash plan fired (the caller freezes the machine at
+    /// `steps`).
     fn replay_generic(
         &mut self,
         traces: &[ThreadTrace],
         budget: u64,
         steps: &mut u64,
     ) -> Result<bool, EngineError> {
-        loop {
-            let mut best: Option<(CoreId, Cycles)> = None;
-            let mut any_left = false;
-            for (cid, core) in self.cores.iter_mut().enumerate() {
-                if core.pc >= traces[cid].events.len() {
-                    continue;
-                }
-                any_left = true;
-                if let Some((line, id, seq)) = core.blocked {
-                    match self.tables.release_get(id, line) {
-                        Some((count, when)) if count >= seq => {
-                            // The release happened: wake up at its time.
-                            core.now = core.now.max(when);
-                            core.blocked = None;
-                        }
-                        _ => continue,
-                    }
-                }
-                if best.is_none_or(|(_, t)| core.now < t) {
-                    best = Some((cid, core.now));
-                }
-            }
-            let Some((cid, _)) = best else {
-                if any_left {
-                    // All remaining cores wait on acquires whose releases
-                    // can no longer happen: report the circular wait.
-                    return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
-                }
-                return Ok(false);
-            };
+        let end = |cid: CoreId| traces[cid].events.len();
+        let mut sched = Schedule::new(&self.cores, end);
+        while let Some(cid) = self.pick_core(&mut sched, end)? {
             *steps += 1;
             self.cur_step = *steps;
             if *steps > budget {
@@ -1044,7 +1079,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                         .cores
                         .iter()
                         .enumerate()
-                        .map(|(i, c)| (i, c.pc, traces[i].events.len()))
+                        .map(|(i, c)| (i, c.pc, end(i)))
                         .collect(),
                 });
             }
@@ -1062,6 +1097,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.tables.func_add(ev.func, spent);
             }
             self.after_step(cid, &ev);
+            sched.stepped(cid, &self.cores[cid], end(cid), ev.kind);
             // Power-failure injection: the triggering step has retired (pc
             // already advanced), so every crash-recovery segment consumes
             // at least one event and iterated crash-recovery terminates.
@@ -1079,6 +1115,70 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 }
             }
         }
+        Ok(false)
+    }
+
+    /// The scheduling decision shared by the materialized and streaming
+    /// loops: wake the blocked cores a release satisfied (at the release's
+    /// time), then pick the runnable core with the smallest clock, lowest
+    /// id on ties. `Ok(None)` means every core is finished;
+    /// [`EngineError::ReplayDeadlock`] means only blocked cores remain.
+    #[inline]
+    fn pick_core(
+        &mut self,
+        sched: &mut Schedule,
+        end: impl Fn(CoreId) -> usize,
+    ) -> Result<Option<CoreId>, EngineError> {
+        if sched.wake_pending {
+            sched.wake_pending = false;
+            for (cid, core) in self.cores.iter_mut().enumerate() {
+                let Some((line, id, seq)) = core.blocked else { continue };
+                if let Some((count, when)) = self.tables.release_get(id, line) {
+                    if count >= seq {
+                        // The release happened: wake up at its time. A
+                        // blocked core's pc sits on its acquire, so it is
+                        // runnable now.
+                        core.now = core.now.max(when);
+                        core.blocked = None;
+                        sched.clock[cid] = core.now;
+                    }
+                }
+            }
+        }
+        match sched.argmin() {
+            Some(cid) => Ok(Some(cid)),
+            None => self.pick_without_finite_clock(end),
+        }
+    }
+
+    /// [`Engine::pick_core`] when every slot reads [`Cycles::MAX`]: the
+    /// lowest-id runnable core (one whose clock really is `Cycles::MAX`),
+    /// completion, or a circular wait.
+    #[cold]
+    fn pick_without_finite_clock(
+        &self,
+        end: impl Fn(CoreId) -> usize,
+    ) -> Result<Option<CoreId>, EngineError> {
+        let mut any_left = false;
+        for (cid, core) in self.cores.iter().enumerate() {
+            if core.pc >= end(cid) {
+                continue;
+            }
+            any_left = true;
+            if core.blocked.is_none() {
+                return Ok(Some(cid));
+            }
+        }
+        if any_left {
+            // All remaining cores wait on acquires whose releases can no
+            // longer happen: report the circular wait. On the streaming
+            // path, releases that could satisfy them may still lurk in
+            // unfetched chunks of the *blocked* threads themselves — but a
+            // blocked core cannot fetch past its acquire, so the wait is
+            // circular either way.
+            return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
+        }
+        Ok(None)
     }
 
     /// The single-core fast path: no scheduler scan, events batch-decoded
@@ -1158,16 +1258,19 @@ impl<'a, T: LineTables> Engine<'a, T> {
         }
     }
 
-    /// The streaming replay scheduler: identical scan, wakeup, deadlock
-    /// and budget semantics to [`Engine::replay_generic`], but events and
-    /// interned-id runs come from `feed`'s bounded chunk windows instead
-    /// of materialized traces. A core whose window is spent refills it
-    /// from `source` (validate + digest + intern ride along per event);
-    /// after any refill the engine's id-indexed tables grow to cover the
-    /// newly interned lines and the step budget is re-derived from the
-    /// events fetched so far — the budget only grows, and a valid replay
-    /// executes at most ~2 steps per fetched event, so intermediate
-    /// budgets never fire on schedules the materialized path accepts.
+    /// The streaming replay scheduler: the same [`Engine::pick_core`]
+    /// decision, wakeup, deadlock and budget semantics as
+    /// [`Engine::replay_generic`], but events and interned-id runs come
+    /// from `feed`'s bounded chunk windows instead of materialized traces.
+    /// Every window is filled up front; after that, a core whose window is
+    /// spent refills it from `source` right after the step that spent it
+    /// (validate + digest + intern ride along per event), before its clock
+    /// slot is refreshed. After any refill the engine's id-indexed tables
+    /// grow to cover the newly interned lines and the step budget is
+    /// re-derived from the events fetched so far — the budget only grows,
+    /// and a valid replay executes at most ~2 steps per fetched event, so
+    /// intermediate budgets never fire on schedules the materialized path
+    /// accepts.
     ///
     /// Crash plans are not supported here (freezing a machine needs the
     /// full durable-set bookkeeping of the materialized path).
@@ -1181,62 +1284,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let n = self.cores.len();
         debug_assert_eq!(n, feed.threads());
         let mut budget = self.cfg.effective_step_budget(0);
-        loop {
-            // Refill before the scan so every runnable core is visible to
-            // this scheduling decision. Blocked-acquire retries rewind
-            // `pc` within the current window, never before it, so a core
-            // with `pc >= end` has truly consumed its window.
-            let mut grew = false;
-            for cid in 0..n {
-                if !feed.exhausted(cid) && self.cores[cid].pc >= feed.end(cid) {
-                    feed.refill(source, cid)?;
-                    grew = true;
-                    // Coarse marker in the process-global flight ring
-                    // (chunk-granular, so the lock is off the step path);
-                    // dumped only when a supervised job fails.
-                    simcore::telemetry::flight::note(
-                        FlightKind::Refill,
-                        cid as u64,
-                        feed.fetched(),
-                    );
-                }
-            }
-            if grew {
-                self.grow_line_space(feed.interner().len());
-                budget = self.cfg.effective_step_budget(feed.fetched() as usize);
-            }
-            let mut best: Option<(CoreId, Cycles)> = None;
-            let mut any_left = false;
-            for (cid, core) in self.cores.iter_mut().enumerate() {
-                if core.pc >= feed.end(cid) {
-                    // Window consumed and (per the refill above) the
-                    // source is exhausted: this core is done.
-                    continue;
-                }
-                any_left = true;
-                if let Some((line, id, seq)) = core.blocked {
-                    match self.tables.release_get(id, line) {
-                        Some((count, when)) if count >= seq => {
-                            core.now = core.now.max(when);
-                            core.blocked = None;
-                        }
-                        _ => continue,
-                    }
-                }
-                if best.is_none_or(|(_, t)| core.now < t) {
-                    best = Some((cid, core.now));
-                }
-            }
-            let Some((cid, _)) = best else {
-                if any_left {
-                    // Releases that could satisfy the blocked acquires may
-                    // still lurk in unfetched chunks of the *blocked*
-                    // threads themselves — but a blocked core cannot fetch
-                    // past its acquire, so the wait is circular either way.
-                    return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
-                }
-                return Ok(());
-            };
+        self.refill_spent(source, feed, 0..n, &mut budget)?;
+        let mut sched = Schedule::new(&self.cores, |cid| feed.end(cid));
+        while let Some(cid) = self.pick_core(&mut sched, |cid| feed.end(cid))? {
             *steps += 1;
             self.cur_step = *steps;
             if *steps > budget {
@@ -1263,7 +1313,40 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.tables.func_add(ev.func, spent);
             }
             self.after_step(cid, &ev);
+            self.refill_spent(source, feed, cid..cid + 1, &mut budget)?;
+            sched.stepped(cid, &self.cores[cid], feed.end(cid), ev.kind);
         }
+        Ok(())
+    }
+
+    /// Refill the spent windows among cores `cids` from `source`.
+    /// Blocked-acquire retries rewind `pc` within the current window,
+    /// never before it, so a core with `pc >= end` has truly consumed its
+    /// window; after this, such a core's source is exhausted. If any window
+    /// was refilled, grow the id-indexed state and re-derive `budget`.
+    fn refill_spent<S: EventSource>(
+        &mut self,
+        source: &mut S,
+        feed: &mut StreamFeed,
+        cids: std::ops::Range<CoreId>,
+        budget: &mut u64,
+    ) -> Result<(), EngineError> {
+        let mut grew = false;
+        for cid in cids {
+            if !feed.exhausted(cid) && self.cores[cid].pc >= feed.end(cid) {
+                feed.refill(source, cid)?;
+                grew = true;
+                // Coarse marker in the process-global flight ring
+                // (chunk-granular, so the lock is off the step path);
+                // dumped only when a supervised job fails.
+                simcore::telemetry::flight::note(FlightKind::Refill, cid as u64, feed.fetched());
+            }
+        }
+        if grew {
+            self.grow_line_space(feed.interner().len());
+            *budget = self.cfg.effective_step_budget(feed.fetched() as usize);
+        }
+        Ok(())
     }
 
     /// Freeze the machine at a simulated power failure and partition its
@@ -1802,17 +1885,24 @@ impl<'a, T: LineTables> Engine<'a, T> {
     fn start_drains(&mut self, cid: CoreId) -> Cycles {
         self.acts.sb_drains += 1;
         let now = self.cores[cid].now;
-        // Pull-style drain loop: each entry's acquire cost needs `&mut
-        // self`, so the buffer hands entries out one at a time instead of
-        // taking a closure — the closure form would force the whole buffer
-        // to be moved out and back (two struct memcpys) on every TSO store.
-        while let Some((line, id)) = self.cores[cid].sb.next_unstarted() {
-            let c = self.acquire_for_write(cid, line, id);
-            self.cores[cid].sb.schedule_next(now, c);
-        }
+        self.schedule_drains_through(cid, now, usize::MAX);
         let done = self.cores[cid].sb.last_drain_done().max(now);
         self.cores[cid].sb.collect_completed(now);
         done
+    }
+
+    /// Schedule, in FIFO order at `now`, the drain of every unstarted
+    /// store-buffer entry of `cid` up to and including position `last`.
+    ///
+    /// Pull-style drain loop: each entry's acquire cost needs `&mut self`,
+    /// so the buffer hands entries out one at a time instead of taking a
+    /// closure — the closure form would force the whole buffer to be moved
+    /// out and back (two struct memcpys) on every drain.
+    fn schedule_drains_through(&mut self, cid: CoreId, now: Cycles, last: usize) {
+        while let Some((line, id)) = self.cores[cid].sb.next_unstarted_through(last) {
+            let c = self.acquire_for_write(cid, line, id);
+            self.cores[cid].sb.schedule_next(now, c);
+        }
     }
 
     /// Execute one line store.
@@ -1939,13 +2029,12 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Order with respect to a pending private store: force its drain
         // (asynchronously) first, like a demote.
-        let in_sb = self.cores[cid].sb.contains(line);
-        if in_sb {
-            let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
+        let pending = self.cores[cid].sb.position_of(line);
+        if let Some(pos) = pending {
             let now = self.cores[cid].now;
-            sb.demote_id(line, now, |l, i| self.acquire_for_write(cid, l, i));
-            self.cores[cid].sb = sb;
+            self.schedule_drains_through(cid, now, pos);
         }
+        let in_sb = pending.is_some();
         let dirty_l1 = self.cores[cid].l1.clean_line_id(line, id);
         let dirty_llc = self.llc.clean_line_id(line, id);
         if dirty_l1 || dirty_llc || in_sb {
@@ -1973,11 +2062,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.site_add(site, site_col::DEMOTES, 1);
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Start the background drain of the private store, if any.
-        {
-            let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
+        if let Some(pos) = self.cores[cid].sb.position_of(line) {
             let now = self.cores[cid].now;
-            sb.demote_id(line, now, |l, i| self.acquire_for_write(cid, l, i));
-            self.cores[cid].sb = sb;
+            self.schedule_drains_through(cid, now, pos);
         }
         // Push the data down to the shared level so other cores can hit
         // it there. ARM's `dc cvau` *cleans* to the point of unification:
@@ -1994,10 +2081,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// the WC buffers (their device traffic is attributed to `site`).
     /// Returns the stall in cycles.
     fn fence(&mut self, cid: CoreId, site: FuncId) -> Cycles {
-        let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
         let now = self.cores[cid].now;
-        let done = sb.drain_all_id(now, |l, i| self.acquire_for_write(cid, l, i));
-        self.cores[cid].sb = sb;
+        self.schedule_drains_through(cid, now, usize::MAX);
+        let done = self.cores[cid].sb.last_drain_done().max(now);
+        self.cores[cid].sb.retire_all();
         let stall = done.saturating_sub(now);
         self.cores[cid].now = now.max(done);
         let mut buf = std::mem::take(&mut self.wc_buf);

@@ -314,6 +314,11 @@ impl Tracer {
 /// * the trace set's distinct-line footprint fits the dense
 ///   [`crate::LineId`] space ([`ValidateError::TooManyLines`]).
 ///
+/// O(events) with no interning: only atomics are hashed (to count
+/// releases per line), so validating costs a fraction of building the
+/// interned view. Replay paths that need the interned view anyway use
+/// [`validate_and_intern`], which runs the same checks in the same order.
+///
 /// # Examples
 ///
 /// ```
@@ -332,98 +337,135 @@ pub fn validate(traces: &TraceSet, line_size: u64) -> Result<(), ValidateError> 
 /// [`validate`] over a borrowed slice of per-thread traces — the zero-copy
 /// entry point used when no [`TraceSet`] wrapper exists (single-trace
 /// replay paths).
+///
+/// O(events), no interning: the line-id space check is settled by the
+/// touch count of [`check_events`], which bounds both the distinct lines
+/// and every thread's id-run offsets. Only a trace set with more than
+/// `u32::MAX` line touches falls back to interning to decide
+/// [`ValidateError::TooManyLines`] exactly.
 pub fn validate_threads(threads: &[ThreadTrace], line_size: u64) -> Result<(), ValidateError> {
-    validate_and_intern(threads, line_size).map(|_| ())
+    if check_events(threads, line_size)? > u64::from(u32::MAX) {
+        InternedTraces::try_from_threads(threads, line_size)?;
+    }
+    Ok(())
 }
 
-/// Validate `threads` and intern every line they touch, in one sweep.
+/// Validate `threads` and intern every line they touch.
 ///
-/// Validation already walks every event of every thread, making it the
-/// natural place to discover the trace's line set: the returned
-/// [`InternedTraces`] maps each line-aligned address the replay engine
-/// will touch to a dense `u32` id — and records, per event, the exact run
-/// of ids the engine's splitting will need, so replay resolves ids by
-/// walking an array instead of hashing addresses on every event.
+/// The returned [`InternedTraces`] maps each line-aligned address the
+/// replay engine will touch to a dense `u32` id — and records, per event,
+/// the exact run of ids the engine's splitting will need, so replay
+/// resolves ids by walking an array instead of hashing addresses on every
+/// event.
 ///
 /// The checks (and the order errors are reported in) are exactly those of
-/// [`validate`].
+/// [`validate`]: [`check_events`] first, then interning, which is the only
+/// step that can report [`ValidateError::TooManyLines`].
 pub fn validate_and_intern(
     threads: &[ThreadTrace],
     line_size: u64,
 ) -> Result<InternedTraces, ValidateError> {
-    // Pass 1: count releases (atomics) per line across all threads, so
-    // acquires can be checked against the whole trace set in pass 2.
+    check_events(threads, line_size)?;
+    InternedTraces::try_from_threads(threads, line_size)
+}
+
+/// The per-event checks of [`validate`] (everything but the line-id space
+/// bound), returning the trace set's total number of *line touches*: the
+/// lines each access splits into, plus one per atomic and acquire. That is
+/// exactly the summed length of the per-event id runs
+/// [`InternedTraces`] would record, so it bounds both the distinct-line
+/// count and every thread's id-run offsets.
+///
+/// Errors are reported in a fixed order: per thread, then per event, the
+/// first failing check of the first failing event. One pass over the
+/// events suffices: an acquire can only be judged against the whole trace
+/// set's releases, so acquires are recorded and judged after the pass,
+/// ahead of any per-event error found later in that order.
+pub fn check_events(threads: &[ThreadTrace], line_size: u64) -> Result<u64, ValidateError> {
+    debug_assert!(line_size.is_power_of_two());
+    let shift = line_size.trailing_zeros();
     let mut releases: crate::FxHashMap<Addr, u32> = crate::FxHashMap::default();
-    for t in threads {
-        for ev in &t.events {
+    // (thread, index, line, seq) of every acquire before the first
+    // per-event error, in trace order.
+    let mut acquires: Vec<(usize, usize, Addr, u32)> = Vec::new();
+    let mut touches: u64 = 0;
+    let mut pass = || -> Result<(), ValidateError> {
+        for (tid, t) in threads.iter().enumerate() {
+            for (i, ev) in t.events.iter().enumerate() {
+                match ev.kind {
+                    EventKind::Read
+                    | EventKind::Write
+                    | EventKind::NtWrite
+                    | EventKind::PrestoreClean
+                    | EventKind::PrestoreDemote => {
+                        if ev.size == 0 {
+                            return Err(ValidateError::ZeroSizeAccess {
+                                thread: tid,
+                                index: i,
+                                kind: ev.kind,
+                                addr: ev.addr,
+                            });
+                        }
+                        if ev.size > MAX_ACCESS_BYTES {
+                            return Err(ValidateError::OversizeAccess {
+                                thread: tid,
+                                index: i,
+                                kind: ev.kind,
+                                addr: ev.addr,
+                                size: ev.size,
+                            });
+                        }
+                        let Some(last) = ev.addr.checked_add(ev.size as u64 - 1) else {
+                            return Err(ValidateError::AddressOverflow {
+                                thread: tid,
+                                index: i,
+                                kind: ev.kind,
+                                addr: ev.addr,
+                                size: ev.size,
+                            });
+                        };
+                        // `blocks_touched(addr, size, line_size).len()`, by
+                        // shifts.
+                        touches += (last >> shift) - (ev.addr >> shift) + 1;
+                    }
+                    EventKind::Acquire => {
+                        if ev.size == 0 {
+                            return Err(ValidateError::ZeroSequenceAcquire {
+                                thread: tid,
+                                index: i,
+                                addr: ev.addr,
+                            });
+                        }
+                        acquires.push((tid, i, crate::align_down(ev.addr, line_size), ev.size));
+                        touches += 1;
+                    }
+                    EventKind::Atomic => {
+                        *releases.entry(crate::align_down(ev.addr, line_size)).or_default() += 1;
+                        touches += 1;
+                    }
+                    EventKind::Fence | EventKind::Compute => {}
+                }
+            }
+        }
+        Ok(())
+    };
+    let checked = pass();
+    if checked.is_err() && !acquires.is_empty() {
+        // The pass stopped early: recount the releases of the whole set.
+        releases.clear();
+        for ev in threads.iter().flat_map(|t| &t.events) {
             if ev.kind == EventKind::Atomic {
                 *releases.entry(crate::align_down(ev.addr, line_size)).or_default() += 1;
             }
         }
     }
-    // Pass 2: per-event checks. Interning happens only after the whole set
-    // validates (an oversize access must be rejected *before* its blocks
-    // are expanded, and a partially-built intern view is useless anyway).
-    for (tid, t) in threads.iter().enumerate() {
-        for (i, ev) in t.events.iter().enumerate() {
-            match ev.kind {
-                EventKind::Read
-                | EventKind::Write
-                | EventKind::NtWrite
-                | EventKind::PrestoreClean
-                | EventKind::PrestoreDemote => {
-                    if ev.size == 0 {
-                        return Err(ValidateError::ZeroSizeAccess {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                        });
-                    }
-                    if ev.size > MAX_ACCESS_BYTES {
-                        return Err(ValidateError::OversizeAccess {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                            size: ev.size,
-                        });
-                    }
-                    if ev.addr.checked_add(ev.size as u64 - 1).is_none() {
-                        return Err(ValidateError::AddressOverflow {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                            size: ev.size,
-                        });
-                    }
-                }
-                EventKind::Acquire => {
-                    if ev.size == 0 {
-                        return Err(ValidateError::ZeroSequenceAcquire {
-                            thread: tid,
-                            index: i,
-                            addr: ev.addr,
-                        });
-                    }
-                    let line = crate::align_down(ev.addr, line_size);
-                    let available = releases.get(&line).copied().unwrap_or(0);
-                    if available < ev.size {
-                        return Err(ValidateError::AcquireUnsatisfiable {
-                            thread: tid,
-                            index: i,
-                            line,
-                            seq: ev.size,
-                            available,
-                        });
-                    }
-                }
-                EventKind::Fence | EventKind::Atomic | EventKind::Compute => {}
-            }
+    for (thread, index, line, seq) in acquires {
+        let available = releases.get(&line).copied().unwrap_or(0);
+        if available < seq {
+            return Err(ValidateError::AcquireUnsatisfiable { thread, index, line, seq, available });
         }
     }
-    InternedTraces::try_from_threads(threads, line_size)
+    checked.map(|()| touches)
 }
 
 #[cfg(test)]
