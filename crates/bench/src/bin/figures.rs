@@ -337,10 +337,8 @@ fn main() {
             results.len(),
             if quick { ", --quick" } else { "" }
         ));
-        for res in &results {
-            if let Ok(t) = res {
-                html.add_figure(&t.fig);
-            }
+        for t in results.iter().flatten() {
+            html.add_figure(&t.fig);
         }
         for f in &failures {
             html.add_note(&format!("FAILED: {f}"));

@@ -201,14 +201,14 @@ fn main() {
     let users = parse_u64(&args, "--users", 1_000_000);
     let events = parse_u64(&args, "--events", 2_000_000);
     let threads = parse_u64(&args, "--threads", 2) as usize;
-    let mem_budget = match args.iter().position(|a| a == "--mem-budget") {
-        None => None,
-        Some(_) => Some(parse_u64(&args, "--mem-budget", 0)),
-    };
-    let assert_rss_mb = match args.iter().position(|a| a == "--assert-rss-mb") {
-        None => None,
-        Some(_) => Some(parse_u64(&args, "--assert-rss-mb", 0)),
-    };
+    let mem_budget = args
+        .iter()
+        .any(|a| a == "--mem-budget")
+        .then(|| parse_u64(&args, "--mem-budget", 0));
+    let assert_rss_mb = args
+        .iter()
+        .any(|a| a == "--assert-rss-mb")
+        .then(|| parse_u64(&args, "--assert-rss-mb", 0));
     let verify = args.iter().any(|a| a == "--verify-materialized");
     let machine = parse_str(&args, "--machine").unwrap_or_else(|| "a".into());
     let cfg = match machine.as_str() {

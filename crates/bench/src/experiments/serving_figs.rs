@@ -4,7 +4,7 @@
 //! population is far too large (and the request stream far too long) to
 //! materialize, so each sweep point synthesizes its events on the fly as
 //! a [`KvServingSource`] and replays them with
-//! [`machine::try_simulate_stream`]. Results are memoized on the stream's
+//! [`machine::try_simulate_stream_opts`]. Results are memoized on the stream's
 //! chunk-size-invariant digest ([`memo::stream_cached`]) — re-generating
 //! a synthetic stream for the digest pre-pass is cheap; replaying it is
 //! not.

@@ -152,7 +152,7 @@ mod probes {
 
 /// Cache-effectiveness counters since the last [`clear`].
 ///
-/// Invariants (pinned by the reconciliation test): every [`cached`] call
+/// Invariants (pinned by the reconciliation test): every `cached` call
 /// is exactly one lookup and either a hit or a miss, so
 /// `hits + misses == lookups`; an entry can only be evicted after being
 /// inserted, so `evictions <= inserts`; and a recording race's loser is
@@ -273,7 +273,7 @@ pub fn stream_key(digest: u64, machine_tag: &str) -> String {
 }
 
 /// Fetch a streamed replay result from the cache or compute it with `run`
-/// (which replays the stream through `machine::try_simulate_stream`).
+/// (which replays the stream through `machine::try_simulate_stream_opts`).
 ///
 /// Shares the trace cache's counter ledger: every call is one lookup and
 /// either a hit or a miss, race losers are dropped without an insert, and
@@ -650,7 +650,8 @@ mod tests {
             let mut src = workloads::kv::KvServingSource::new(p);
             let digest = simcore::stream::digest_source(&mut src, 4096);
             stream_cached(stream_key(digest, "machine_a"), || {
-                machine::try_simulate_stream(&cfg, &mut src).expect("serving stream replays")
+                machine::try_simulate_stream_opts(&cfg, &mut src, machine::StreamOptions::default())
+                    .expect("serving stream replays")
             })
         };
         let a = report_for(1);
@@ -724,9 +725,8 @@ mod tests {
         assert!(results.iter().all(Option::is_some), "every candidate replays");
         // Identical keys resolve to the same cached replay.
         for w in results.chunks(3).collect::<Vec<_>>().windows(2) {
-            for k in 0..3 {
-                let a = w[0][k].as_ref().expect("replayed");
-                let b = w[1][k].as_ref().expect("replayed");
+            for (k, (a, b)) in w[0].iter().zip(w[1]).enumerate() {
+                let (a, b) = (a.as_ref().expect("replayed"), b.as_ref().expect("replayed"));
                 assert!(Arc::ptr_eq(a, b), "candidate {k} must share one replay");
             }
         }

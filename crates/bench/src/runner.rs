@@ -179,8 +179,7 @@ mod tests {
         fn mk_b(_q: bool) -> FigureResult {
             FigureResult::new("b", "B", "x", "y")
         }
-        let exps: &[(&'static str, fn(bool) -> FigureResult)] =
-            &[("a", mk_a), ("b", mk_b)];
+        let exps: &[Experiment] = &[("a", mk_a), ("b", mk_b)];
         let out = run_experiments(exps, true);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id, "a");

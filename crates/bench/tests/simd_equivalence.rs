@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use machine::{simulate, MachineConfig, RunStats};
 use prestore::PrestoreMode;
-use ps_bench::{experiments, memo, runner, FigureResult};
+use ps_bench::{experiments, memo, runner};
 use simcore::{simd, TraceSet};
 use workloads::kv::ycsb::{run_clht, YcsbParams};
 use workloads::microbench::{listing1, Listing1Params};
@@ -81,7 +81,7 @@ fn forced_scalar_figures_render_byte_identically() {
     // A sharded multi-machine sweep and a multi-mode KV figure: between
     // them these exercise the chunked decode, the storebuf/dirty-line
     // scans, the Optane open-block scan, and the NRU victim draw.
-    let figures: &[(&str, fn(bool) -> FigureResult)] =
+    let figures: &[runner::Experiment] =
         &[("fig5", experiments::fig5), ("fig13", experiments::fig13)];
     let (vec_out, scalar_out) = on_both_kernels(|| {
         memo::clear();

@@ -1,6 +1,6 @@
 //! Streaming-vs-materialized replay equivalence.
 //!
-//! The chunked pipeline (`machine::try_simulate_stream`) must produce
+//! The chunked pipeline (`machine::try_simulate_stream_opts`) must produce
 //! *exactly* the statistics of the conventional materialized path — full
 //! [`RunStats`] struct equality, not a digest — for every workload
 //! family, at every chunk size (including pathological 1-event chunks),
@@ -9,20 +9,21 @@
 //!
 //! A randomized sweep replays generated traces (single-thread,
 //! two-thread with satisfiable cross-thread acquire/release hand-offs, and
-//! 3–5 thread groups shaped to stress the scheduler) over random chunk
+//! 1–5 thread groups shaped to stress the scheduler) over random chunk
 //! boundaries for the same full-struct equality. The groups pin the
 //! scheduler's lowest-id tie-break and its wake-after-release rule on the
-//! materialized loop, the streaming loop (chunk sizes 1, random and
-//! default) and the hashed reference engine alike.
+//! plain materialized feed, the crash-armed replay with a plan that never
+//! fires, the streaming feed (chunk sizes 1, random and default) and the
+//! hashed reference engine alike.
 
 use machine::{
-    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_reference,
-    MachineConfig, RunStats, StreamOptions,
+    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_reference, CrashOutcome,
+    CrashPlan, Machine, MachineConfig, RunStats, StreamOptions,
 };
 use prestore::PrestoreMode;
 use simcore::rng::SimRng;
 use simcore::stream::digest_source;
-use simcore::{SliceSource, ThreadTrace, Tracer};
+use simcore::{SliceSource, ThreadTrace, TraceSet, Tracer};
 use workloads::microbench::{listing1, Listing1Params};
 use workloads::nas;
 use workloads::tensor::{training_step, TensorParams};
@@ -108,7 +109,7 @@ fn random_single(rng: &mut SimRng, events: usize) -> ThreadTrace {
         let addr = rng.gen_range(1 << 20) * 8;
         let size = 1 + rng.gen_range(256) as u32;
         match rng.gen_range(8) {
-            0 | 1 | 2 => t.read(addr, size),
+            0..=2 => t.read(addr, size),
             3 | 4 => t.write(addr, size),
             5 => t.nt_write(addr, size),
             6 => t.fence(),
@@ -146,7 +147,7 @@ fn random_pair(rng: &mut SimRng, events: usize) -> Vec<ThreadTrace> {
     vec![t0.finish(), t1.finish()]
 }
 
-/// A generated 3–5 thread trace shaped to stress the scheduler.
+/// A generated 1–5 thread trace shaped to stress the scheduler.
 ///
 /// Threads 0 and 1 release `k` times each, on lines `SYNC[0]` and
 /// `SYNC[1]`, and never acquire — so every acquire is satisfiable at run
@@ -220,40 +221,54 @@ fn schedule_digest(r: &RunStats) -> u64 {
     fields.fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// [`schedule_digest`] of each round's materialized replay on
-/// machine_a, machine_b_fast and machine_b_slow, captured on the
-/// full-scan scheduler that rescanned every core on every step. They pin
+/// Thread count and [`schedule_digest`] of each round's materialized
+/// replay on machine_a, machine_b_fast and machine_b_slow. The 3–5 thread
+/// rows were captured on the full-scan scheduler that rescanned every core
+/// on every step; the 1- and 2-thread rows on the separate single-core
+/// replay loop and the multi-core loop of the three-loop engine. They pin
 /// the lowest-id tie-break and the wake-after-release rule themselves,
-/// not just agreement between the replay loops.
-const GROUP_GOLDENS: [[u64; 3]; 6] = [
-    [0x343fdb312a92f4d9, 0x6c8e0324cfe5f073, 0x602db8c6ab08df8b],
-    [0xf0eda9efd55dbd41, 0xbe3178fb1e84732a, 0xb3dccb38fc61b499],
-    [0x222d7c2dd0ea46f8, 0xfbedf10ac8760b76, 0xa05bcf23759c3433],
-    [0xdb0ebd9dcfc2abf9, 0x22f12edac60e3cbc, 0x66f3abb6a7013c6e],
-    [0xfd51ade24c5aaf3e, 0x8a7b8ff1e0e77de8, 0x48b1a60ec467f10e],
-    [0x7b1db4a7e509f652, 0x68a122f08750cc4e, 0x82658238428b9b00],
+/// not just agreement between the replay paths.
+const GROUP_GOLDENS: [(usize, [u64; 3]); 10] = [
+    (3, [0x343fdb312a92f4d9, 0x6c8e0324cfe5f073, 0x602db8c6ab08df8b]),
+    (4, [0xf0eda9efd55dbd41, 0xbe3178fb1e84732a, 0xb3dccb38fc61b499]),
+    (5, [0x222d7c2dd0ea46f8, 0xfbedf10ac8760b76, 0xa05bcf23759c3433]),
+    (3, [0xdb0ebd9dcfc2abf9, 0x22f12edac60e3cbc, 0x66f3abb6a7013c6e]),
+    (4, [0xfd51ade24c5aaf3e, 0x8a7b8ff1e0e77de8, 0x48b1a60ec467f10e]),
+    (5, [0x7b1db4a7e509f652, 0x68a122f08750cc4e, 0x82658238428b9b00]),
+    (1, [0xb8c9cf171dd419e0, 0x2447590a822a5e08, 0x9b74a6e910eb6831]),
+    (2, [0x6716dc1f095bef3f, 0x18d40c46ad391428, 0x3b200bad47f346e6]),
+    (1, [0x452d63042cc1ea12, 0x7a0bb399ef72ad18, 0x6d337248aa3a2456]),
+    (2, [0x93a7df1e0d999de3, 0xa678dcf49a292cfb, 0xcc59feeeaafb9e8a]),
 ];
 
 #[test]
 fn random_groups_match_across_loops_and_reference() {
     let mut rng = SimRng::new(0x5C4E_D01E);
-    for (round, goldens) in GROUP_GOLDENS.iter().enumerate() {
-        let threads = 3 + round % 3;
+    for (round, &(threads, goldens)) in GROUP_GOLDENS.iter().enumerate() {
         let events = 100 + rng.gen_range(600) as usize;
         let group = random_group(&mut rng, threads, events);
         let chunk = 1 + rng.gen_range(97) as usize;
-        for ((mname, cfg), &golden_digest) in machines().into_iter().zip(goldens) {
+        for ((mname, cfg), golden_digest) in machines().into_iter().zip(goldens) {
             let what = format!("random-group{threads}/round{round}@{mname}");
             let golden = try_simulate_threads(&cfg, &group)
                 .unwrap_or_else(|e| panic!("{what}: materialized failed: {e}"));
             assert_eq!(
                 schedule_digest(&golden),
                 golden_digest,
-                "{what}: schedule drifted from the full-scan golden"
+                "{what}: schedule drifted from the golden"
             );
             let reference = try_simulate_threads_reference(&cfg, &group)
                 .unwrap_or_else(|e| panic!("{what}: reference failed: {e}"));
             assert_eq!(reference, golden, "{what}: reference engine diverged");
+            let armed = Machine::new(cfg.clone())
+                .try_run_until_crash(&TraceSet::new(group.clone()), CrashPlan::AtStep(u64::MAX))
+                .unwrap_or_else(|e| panic!("{what}: crash-armed replay failed: {e}"));
+            match armed {
+                CrashOutcome::Completed { stats, .. } => {
+                    assert_eq!(*stats, golden, "{what}: crash-armed replay diverged")
+                }
+                CrashOutcome::Crashed(_) => panic!("{what}: a plan at step u64::MAX fired"),
+            }
             for chunk_events in [1, chunk, StreamOptions::default().chunk_events] {
                 let mut src = SliceSource::new(&group);
                 let report =

@@ -7,7 +7,7 @@ use simcore::{align_down, Addr, LineId};
 /// O(1) reverse index from dense [`LineId`]s to cache slots.
 ///
 /// When a trace's lines have been interned (`simcore::intern`), the engine
-/// installs one of these per cache via [`Cache::set_id_index`]; lookups
+/// installs one of these per cache via [`Cache::install_id_index`]; lookups
 /// then go straight from a line's id to its slot instead of scanning the
 /// set's ways and comparing tags.
 ///

@@ -24,8 +24,9 @@
 //!
 //! The whole pipeline is driven by [`analyze`]. Two further modules close
 //! the loop mechanically: [`apply`] rewrites a recorded trace as the
-//! hand-patched binary would have produced it, and [`search`] hill-climbs
-//! over per-site plans against a replay [`objective`] (`--auto`).
+//! hand-patched binary would have produced it, and [`search`](mod@search)
+//! hill-climbs over per-site plans against a replay [`objective`]
+//! (`--auto`).
 
 pub mod apply;
 pub mod objective;

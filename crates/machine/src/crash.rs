@@ -32,9 +32,10 @@
 //! digest equivalence: crash-at-any-point followed by recovery reaches
 //! the same final durable line set as an uninterrupted run.
 
+use crate::error::{CrashImageField, EngineError};
 use crate::stats::RunStats;
 use simcore::telemetry::flight::FlightEvent;
-use simcore::{Addr, Cycles, FuncId, FuncRegistry};
+use simcore::{Addr, CoreId, Cycles, FuncId, FuncRegistry};
 use std::fmt::Write as _;
 
 /// Column index: lost lines attributed to a site.
@@ -55,8 +56,8 @@ pub enum CrashOutcome {
         /// dwarf `Crashed`).
         stats: Box<RunStats>,
         /// [`durable_digest`] of the final durable line set, or `None` if
-        /// the run was not crash-armed (plain [`crate::Machine::try_run`]
-        /// does not track received lines).
+        /// the run was not crash-armed (plain replays such as
+        /// [`crate::try_simulate`] do not track received lines).
         durable_digest: Option<u64>,
     },
     /// The plan fired: the machine froze at the crash point.
@@ -87,6 +88,34 @@ pub struct CrashImage {
     pub pcs: Vec<usize>,
     /// Cache line size of the crashed machine, in bytes.
     pub line_size: u64,
+}
+
+impl CrashImage {
+    /// Check that this image can resume `threads` traces on a machine with
+    /// `line_size`-byte lines, where `events(cid)` is thread `cid`'s event
+    /// count: one resume point per thread, none past its thread's end, and
+    /// the crashed machine's line size (the redo set and the release counts
+    /// are line addresses).
+    pub(crate) fn check_fits(
+        &self,
+        line_size: u64,
+        threads: usize,
+        events: impl Fn(CoreId) -> usize,
+    ) -> Result<(), EngineError> {
+        let mismatch = |field, image, expected| {
+            Err(EngineError::CrashImageMismatch { field, image, expected })
+        };
+        if self.pcs.len() != threads {
+            return mismatch(CrashImageField::Cores, self.pcs.len() as u64, threads as u64);
+        }
+        if self.line_size != line_size {
+            return mismatch(CrashImageField::LineSize, self.line_size, line_size);
+        }
+        match self.pcs.iter().enumerate().find(|&(cid, &pc)| pc > events(cid)) {
+            Some((cid, &pc)) => mismatch(CrashImageField::Pc(cid), pc as u64, events(cid) as u64),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The frozen state of a machine at a simulated power failure.

@@ -9,17 +9,32 @@
 //! local clock (lowest core id on ties), so shared-cache contention follows
 //! simulated time.
 //!
+//! # One replay loop over a feed
+//!
+//! Every replay — one core or many, materialized or streamed, plain,
+//! classified or crash-armed — runs the same step loop over a *feed*, the
+//! engine's private view of where events come from. The materialized feed
+//! reads borrowed [`ThreadTrace`]s and their interned id runs: every event
+//! is there from the start, so a core's end is fixed and nothing is ever
+//! refilled. The streaming feed pulls an [`EventSource`] through a
+//! [`StreamFeed`]'s bounded per-thread windows, validating, digesting and
+//! interning each chunk as it is fetched; a core whose window is spent
+//! refills right after the step that spent it. Every public entry point is
+//! a thin wrapper over one private driver that checks for an empty trace
+//! set, ingests the feed (validate and intern, or trust the caller),
+//! builds and arms the engine (classifier, crash plan, resume image),
+//! replays, and then finalizes or freezes the machine.
+//!
 //! # Scheduling
 //!
-//! The materialized and streaming loops share one decision over a compact
-//! `Schedule`: a dense clock array holding each core's clock, or
-//! [`Cycles::MAX`] while the core is finished or blocked on an acquire.
-//! The next core is the array's argmin, and only the stepped core's slot
-//! is refreshed after its step. A blocked core can only wake after a
-//! release — release counts change only on `Atomic` steps — so blocked
-//! cores are re-checked only after those (and once up front, for
-//! crash-image resumes). That wakes each core at exactly the step and
-//! clock a rescan of every core on every step would.
+//! The scheduling decision works over a compact `Schedule`: a dense clock
+//! array holding each core's clock, or [`Cycles::MAX`] while the core is
+//! finished or blocked on an acquire. The next core is the array's argmin,
+//! and only the stepped core's slot is refreshed after its step. A blocked
+//! core can only wake after a release — release counts change only on
+//! `Atomic` steps — so blocked cores are re-checked only after those (and
+//! once up front, for crash-image resumes). That wakes each core at
+//! exactly the step and clock a rescan of every core on every step would.
 //!
 //! Latency effects (fence stalls, ownership acquisition, writeback-in-
 //! flight conflicts) are accounted on the core clocks. Bandwidth effects
@@ -43,7 +58,7 @@ use crate::config::{MachineConfig, MemModel};
 use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
 use crate::error::{BlockedAcquire, EngineError};
 use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
-use crate::tables::{take_scratch, FlatTables, HashTables, LineTables};
+use crate::tables::{take_scratch, EngineScratch, FlatTables, HashTables, LineTables};
 use cachesim::{Cache, StoreBuffer, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
 use memdev::{Device, MemDevice};
@@ -54,8 +69,9 @@ use simcore::telemetry::{HistogramSample, SiteTable};
 use simcore::stream::{EventSource, StreamFeed};
 use simcore::{
     align_down, blocks_touched, Addr, CoreId, Cycles, EventKind, FuncId, FxHashMap, FxHashSet,
-    InternedTraces, LineId, RequestClasses, ThreadTrace, TraceSet,
+    InternedTraces, LineId, LineInterner, RequestClasses, ThreadTrace, TraceSet,
 };
+use std::sync::Arc;
 
 /// Floor added to the derived step budget so tiny traces with legitimate
 /// acquire retries never trip the watchdog.
@@ -67,75 +83,6 @@ const STREAM_TRACKERS: usize = 16;
 /// Latency divisor for stream-prefetched device reads (the prefetcher
 /// keeps this many line fills in flight on a detected stream).
 const STREAM_MLP: Cycles = 16;
-
-/// Batch-decode width of the single-core replay fast path: events are
-/// transposed from the trace's array-of-structs layout into one
-/// [`EventChunk`] of structure-of-arrays columns at a time.
-const DECODE_CHUNK: usize = 64;
-
-/// A fixed-size SoA view of one run of a thread's events: kinds, addresses,
-/// sizes and attribution functions live in separate dense arrays so the
-/// replay loop streams each column linearly instead of striding through
-/// wider [`simcore::Event`] records. Refilled in place; covers events
-/// `base..base + len`.
-struct EventChunk {
-    base: usize,
-    len: usize,
-    kinds: [EventKind; DECODE_CHUNK],
-    addrs: [Addr; DECODE_CHUNK],
-    sizes: [u32; DECODE_CHUNK],
-    funcs: [FuncId; DECODE_CHUNK],
-    callers: [FuncId; DECODE_CHUNK],
-}
-
-impl EventChunk {
-    fn new() -> Self {
-        Self {
-            base: 0,
-            len: 0,
-            kinds: [EventKind::Compute; DECODE_CHUNK],
-            addrs: [0; DECODE_CHUNK],
-            sizes: [0; DECODE_CHUNK],
-            funcs: [FuncId::UNKNOWN; DECODE_CHUNK],
-            callers: [FuncId::UNKNOWN; DECODE_CHUNK],
-        }
-    }
-
-    /// Whether event index `idx` is decoded in the current window.
-    #[inline]
-    fn covers(&self, idx: usize) -> bool {
-        idx.wrapping_sub(self.base) < self.len
-    }
-
-    /// Transpose the window starting at `base` (blocked-acquire retries
-    /// rewind `pc` within the current window, never before it, so refills
-    /// only ever move forward).
-    fn refill(&mut self, events: &[simcore::Event], base: usize) {
-        let len = DECODE_CHUNK.min(events.len() - base);
-        for (i, ev) in events[base..base + len].iter().enumerate() {
-            self.kinds[i] = ev.kind;
-            self.addrs[i] = ev.addr;
-            self.sizes[i] = ev.size;
-            self.funcs[i] = ev.func;
-            self.callers[i] = ev.caller;
-        }
-        self.base = base;
-        self.len = len;
-    }
-
-    /// Reassemble the event at index `idx` (must be covered).
-    #[inline]
-    fn get(&self, idx: usize) -> simcore::Event {
-        let i = idx - self.base;
-        simcore::Event {
-            addr: self.addrs[i],
-            size: self.sizes[i],
-            kind: self.kinds[i],
-            func: self.funcs[i],
-            caller: self.callers[i],
-        }
-    }
-}
 
 /// Per-core mutable state.
 struct CoreState {
@@ -221,17 +168,6 @@ struct CrashCtx {
     releases: FxHashMap<Addr, u32>,
 }
 
-impl CrashCtx {
-    fn new(plan: CrashPlan) -> Self {
-        Self {
-            plan,
-            fences_seen: 0,
-            received: FxHashSet::default(),
-            releases: FxHashMap::default(),
-        }
-    }
-}
-
 /// Request-classification state of a classified replay: the workload's
 /// boundary state machine, one latency histogram per class, and each
 /// core's clock at its previous request boundary.
@@ -257,19 +193,238 @@ fn flight_kind(kind: EventKind) -> Option<FlightKind> {
     }
 }
 
-/// The replay engine. Create one per run via [`simulate`].
+/// Where the replay loop reads its events: the engine's one abstraction
+/// over materialized traces ([`TraceFeed`]) and streamed sources
+/// ([`SourceFeed`]). Event indices are per-thread and global; a feed only
+/// has to serve indices in `pc..end(cid)` of each core.
+trait Feed {
+    /// Number of threads, one replay core each.
+    fn threads(&self) -> usize;
+
+    /// Prepare the feed for replay by an engine over `T` tables on
+    /// `line_size`-byte lines (validation and interning, where the feed
+    /// does them up front).
+    fn ingest<T: LineTables>(&mut self, line_size: u64) -> Result<(), EngineError>;
+
+    /// One past the last event core `cid` can currently step.
+    fn end(&self, cid: CoreId) -> usize;
+
+    /// The event at index `idx` of thread `cid` (below `end(cid)`) and its
+    /// pre-resolved line-id run, in splitting order (empty when nothing
+    /// was interned).
+    fn event(&self, cid: CoreId, idx: usize) -> (simcore::Event, &[LineId]);
+
+    /// Events fetched so far across all threads: the step budget's base.
+    fn fetched(&self) -> u64;
+
+    /// The interner behind the id runs, or `None` when nothing was
+    /// interned (the hashed reference engine never reads ids).
+    fn interner(&self) -> Option<&LineInterner>;
+
+    /// Refill core `cid`'s window if `pc` has consumed it. Returns whether
+    /// a refill was attempted.
+    fn refill(&mut self, cid: CoreId, pc: usize) -> Result<bool, EngineError>;
+}
+
+/// A [`Feed`] over borrowed, fully materialized traces: a core's end is
+/// its thread's length and nothing is ever refilled.
+struct TraceFeed<'t> {
+    threads: &'t [ThreadTrace],
+    /// Whether [`Feed::ingest`] validates the traces (and interns them for
+    /// id-indexed tables) or trusts the caller's `interned` view.
+    validate: bool,
+    interned: Option<Arc<InternedTraces>>,
+}
+
+impl<'t> TraceFeed<'t> {
+    /// A feed that validates and interns `threads` before replay (every
+    /// fallible entry point).
+    fn checked(threads: &'t [ThreadTrace]) -> Self {
+        Self { threads, validate: true, interned: None }
+    }
+
+    /// A feed that trusts `threads` and replays over `interned` (`None`
+    /// for the hashed reference engine): the panicking entry points.
+    fn trusted(threads: &'t [ThreadTrace], interned: Option<Arc<InternedTraces>>) -> Self {
+        Self { threads, validate: false, interned }
+    }
+}
+
+impl Feed for TraceFeed<'_> {
+    fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    fn ingest<T: LineTables>(&mut self, line_size: u64) -> Result<(), EngineError> {
+        if self.validate {
+            if T::USE_IDS {
+                // Validation already walks every event; interning rides
+                // along.
+                let interned = simcore::trace::validate_and_intern(self.threads, line_size)?;
+                self.interned = Some(Arc::new(interned));
+            } else {
+                simcore::trace::validate_threads(self.threads, line_size)?;
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn end(&self, cid: CoreId) -> usize {
+        self.threads[cid].events.len()
+    }
+
+    #[inline]
+    fn event(&self, cid: CoreId, idx: usize) -> (simcore::Event, &[LineId]) {
+        let ids = self.interned.as_deref().map_or(&[][..], |v| v.ids_for(cid, idx));
+        (self.threads[cid].events[idx], ids)
+    }
+
+    fn fetched(&self) -> u64 {
+        self.threads.iter().map(|t| t.events.len() as u64).sum()
+    }
+
+    fn interner(&self) -> Option<&LineInterner> {
+        self.interned.as_deref().map(InternedTraces::interner)
+    }
+
+    #[inline]
+    fn refill(&mut self, _cid: CoreId, _pc: usize) -> Result<bool, EngineError> {
+        Ok(false)
+    }
+}
+
+/// A [`Feed`] that pulls an [`EventSource`] through a [`StreamFeed`]'s
+/// bounded per-thread windows. Validation, digesting and interning ride
+/// along on every refill, so the full trace is never materialized.
+struct SourceFeed<'s, S> {
+    source: &'s mut S,
+    feed: StreamFeed,
+}
+
+impl<'s, S: EventSource> SourceFeed<'s, S> {
+    fn new(cfg: &MachineConfig, source: &'s mut S, opts: StreamOptions) -> Self {
+        let feed = StreamFeed::new(cfg.line_size, source.threads(), opts.chunk_events.max(1));
+        Self { source, feed }
+    }
+
+    /// The report of a completed streaming replay that produced `stats`.
+    fn report(&self, stats: RunStats) -> StreamReport {
+        StreamReport {
+            stats,
+            events: self.feed.fetched(),
+            chunks: self.feed.chunks(),
+            peak_pipeline_bytes: self.feed.peak_window_bytes() as u64,
+            digest: self.feed.digest(),
+        }
+    }
+}
+
+impl<S: EventSource> Feed for SourceFeed<'_, S> {
+    fn threads(&self) -> usize {
+        self.feed.threads()
+    }
+
+    fn ingest<T: LineTables>(&mut self, _line_size: u64) -> Result<(), EngineError> {
+        // Every chunk is validated and interned as it is fetched.
+        Ok(())
+    }
+
+    #[inline]
+    fn end(&self, cid: CoreId) -> usize {
+        self.feed.end(cid)
+    }
+
+    #[inline]
+    fn event(&self, cid: CoreId, idx: usize) -> (simcore::Event, &[LineId]) {
+        (self.feed.event(cid, idx), self.feed.ids(cid, idx))
+    }
+
+    fn fetched(&self) -> u64 {
+        self.feed.fetched()
+    }
+
+    fn interner(&self) -> Option<&LineInterner> {
+        Some(self.feed.interner())
+    }
+
+    /// Blocked-acquire retries rewind `pc` within the current window,
+    /// never before it, so a core with `pc >= end` has truly consumed its
+    /// window; after a refill that fetches nothing, its source is
+    /// exhausted.
+    #[inline]
+    fn refill(&mut self, cid: CoreId, pc: usize) -> Result<bool, EngineError> {
+        if self.feed.exhausted(cid) || pc < self.feed.end(cid) {
+            return Ok(false);
+        }
+        self.feed.refill(self.source, cid)?;
+        // Coarse marker in the process-global flight ring (chunk-granular,
+        // so the lock is off the step path); dumped only when a supervised
+        // job fails.
+        simcore::telemetry::flight::note(FlightKind::Refill, cid as u64, self.feed.fetched());
+        Ok(true)
+    }
+}
+
+/// What a replay is armed with beyond its feed.
+#[derive(Default)]
+struct Arming<'i> {
+    /// Request-boundary classifier: per-class latency histograms.
+    classifier: Option<Box<dyn RequestClasses>>,
+    /// Power-failure plan; also arms the flight recorder.
+    crash: Option<CrashPlan>,
+    /// Crash image to resume from (comes with a `crash` plan).
+    resume: Option<&'i CrashImage>,
+}
+
+/// The one replay driver behind every public entry point: reject an empty
+/// trace set and a resume image that does not fit, ingest the feed, build
+/// and arm the engine, replay, then finalize — or freeze the machine if
+/// the armed crash plan fired.
+fn drive<T: LineTables, F: Feed>(
+    cfg: &MachineConfig,
+    feed: &mut F,
+    arming: Arming<'_>,
+) -> Result<CrashOutcome, EngineError> {
+    let cores = feed.threads();
+    if cores == 0 {
+        return Err(EngineError::EmptyTraceSet);
+    }
+    if let Some(image) = arming.resume {
+        image.check_fits(cfg.line_size, cores, |cid| feed.end(cid))?;
+    }
+    feed.ingest::<T>(cfg.line_size)?;
+    let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
+    let mut engine = Engine::<T>::new(cfg, cores, feed.interner().map_or(0, LineInterner::len));
+    engine.arm(arming, feed.interner());
+    let mut steps = 0;
+    if engine.replay(feed, &mut steps)? {
+        return Ok(CrashOutcome::Crashed(Box::new(engine.freeze_crash(feed.interner(), steps))));
+    }
+    engine.finalize(feed.interner(), steps)
+}
+
+/// [`drive`] without a crash plan, down to its statistics.
+fn drive_stats<T: LineTables, F: Feed>(
+    cfg: &MachineConfig,
+    feed: &mut F,
+    classifier: Option<Box<dyn RequestClasses>>,
+) -> Result<RunStats, EngineError> {
+    match drive::<T, F>(cfg, feed, Arming { classifier, ..Arming::default() })? {
+        CrashOutcome::Completed { stats, .. } => Ok(*stats),
+        CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
+    }
+}
+
+/// The replay engine: one per run, built, armed and driven by `drive`.
 ///
 /// Generic over its per-line state representation: [`FlatTables`] (dense
-/// [`LineId`]-indexed vectors fed by the trace's [`LineInterner`] — the
+/// [`LineId`]-indexed vectors fed by the feed's [`LineInterner`] — the
 /// default and production path) or [`HashTables`] (the pre-interning
 /// per-line hash maps, kept as the reference twin for equivalence tests
 /// and benchmarks). Both monomorphisations replay bit-identically.
-pub struct Engine<'a, T: LineTables = FlatTables> {
+pub(crate) struct Engine<'a, T: LineTables = FlatTables> {
     cfg: &'a MachineConfig,
-    /// The traces' interned view: per-event streams of pre-resolved line
-    /// ids, read in lockstep with event splitting (never consulted on the
-    /// reference path).
-    interned: &'a InternedTraces,
     llc: Cache,
     device: Device,
     /// Per-line bookkeeping: dirty-line ownership, in-flight writebacks
@@ -285,7 +440,7 @@ pub struct Engine<'a, T: LineTables = FlatTables> {
     /// Reused buffer for end-of-run residual dirty lines.
     residual: Vec<Addr>,
     /// Per-replay action counts, flushed into the telemetry registry at
-    /// the end of [`Engine::try_run`] (plain `u64`s: the step loop pays no
+    /// the end of [`Engine::finalize`] (plain `u64`s: the step loop pays no
     /// atomics, and with telemetry compiled out the flush is a no-op).
     acts: crate::probes::ActionCounts,
     /// Per-trace-site attribution rows (device traffic, pre-store actions,
@@ -328,7 +483,8 @@ pub struct Engine<'a, T: LineTables = FlatTables> {
     flight: Option<FlightRing>,
 }
 
-/// Replay `traces` on the machine described by `cfg`.
+/// Replay `traces` on the machine described by `cfg`, trusting them to be
+/// valid (the interned view is the trace set's cached one).
 ///
 /// # Panics
 ///
@@ -338,52 +494,63 @@ pub struct Engine<'a, T: LineTables = FlatTables> {
 /// statically first.
 pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
     let interned = traces.interned_for(cfg.line_size);
-    Engine::new_flat(cfg, &interned, traces.threads.len()).run(&traces.threads)
+    let mut feed = TraceFeed::trusted(&traces.threads, Some(interned));
+    drive_stats::<FlatTables, _>(cfg, &mut feed, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Replay a single-threaded trace.
+/// Replay a single-threaded trace, trusting it to be valid. Its interned
+/// view is built for this replay and dropped after it, never cached.
 ///
 /// # Panics
 ///
 /// Panics with a formatted [`EngineError`] on replay failure; see
-/// [`try_simulate_single`] for the fallible form.
+/// [`try_simulate_threads`] for the fallible form.
 pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
-    let interned = InternedTraces::from_threads(std::slice::from_ref(trace), cfg.line_size);
-    Engine::new_flat(cfg, &interned, 1).run(std::slice::from_ref(trace))
+    let threads = std::slice::from_ref(trace);
+    let interned = InternedTraces::from_threads(threads, cfg.line_size);
+    let mut feed = TraceFeed::trusted(threads, Some(Arc::new(interned)));
+    drive_stats::<FlatTables, _>(cfg, &mut feed, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Replay `traces` through the hashed *reference* engine — the exact
-/// pre-interning data paths ([`HashTables`], no [`IdIndex`] on the
-/// caches). Bit-identical to [`simulate`] by construction; kept callable
-/// so the equivalence suite and the `intern_vs_hash` microbenchmark can
-/// always compare the two.
+/// pre-interning data paths ([`HashTables`], no id index on the caches).
+/// Bit-identical to [`simulate`] by construction; kept callable so the
+/// equivalence suite and the `intern_vs_hash` microbenchmark can always
+/// compare the two.
 ///
 /// # Panics
 ///
 /// Panics with a formatted [`EngineError`] on replay failure, like
 /// [`simulate`].
 pub fn simulate_reference(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
-    // The interned view is never consulted on the reference path.
-    let interned = InternedTraces::empty(cfg.line_size);
-    Engine::<HashTables>::new_reference(cfg, &interned, traces.threads.len())
-        .run(&traces.threads)
+    let mut feed = TraceFeed::trusted(&traces.threads, None);
+    drive_stats::<HashTables, _>(cfg, &mut feed, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible form of [`simulate_reference`] over borrowed threads.
+/// Fallible form of [`simulate_reference`] over borrowed threads: the
+/// threads are validated (without interning) first.
 pub fn try_simulate_threads_reference(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    simcore::trace::validate_threads(threads, cfg.line_size)?;
-    let interned = InternedTraces::empty(cfg.line_size);
-    Engine::<HashTables>::new_reference(cfg, &interned, threads.len()).try_run(threads)
+    drive_stats::<HashTables, _>(cfg, &mut TraceFeed::checked(threads), None)
 }
 
 /// Validate and replay `traces`, returning a typed error instead of
 /// panicking on malformed input, deadlock or watchdog expiry.
+///
+/// Every failure is a typed [`EngineError`]:
+///
+/// * [`EngineError::EmptyTraceSet`] — no threads to replay.
+/// * [`EngineError::MalformedTrace`] — static validation rejected an
+///   event (zero-size/oversize access, acquire of release #0).
+/// * [`EngineError::AcquireUnsatisfiable`] — an acquire waits for more
+///   releases than the trace set performs (static deadlock).
+/// * [`EngineError::ReplayDeadlock`] — a circular wait surfaced at replay
+///   time; the report names each blocked core, line and awaited sequence
+///   number.
+/// * [`EngineError::StepBudgetExceeded`] — the watchdog fired (see
+///   [`MachineConfig::step_budget`]).
 ///
 /// # Examples
 ///
@@ -400,49 +567,29 @@ pub fn try_simulate(cfg: &MachineConfig, traces: &TraceSet) -> Result<RunStats, 
     try_simulate_threads(cfg, &traces.threads)
 }
 
-/// Validate and replay a single-threaded trace; fallible form of
-/// [`simulate_single`]. Replays from the borrowed trace — nothing is
-/// cloned.
-pub fn try_simulate_single(
-    cfg: &MachineConfig,
-    trace: &ThreadTrace,
-) -> Result<RunStats, EngineError> {
-    try_simulate_threads(cfg, std::slice::from_ref(trace))
-}
-
 /// Validate and replay a borrowed slice of per-thread traces (the
-/// zero-copy core of [`try_simulate`] / [`try_simulate_single`]).
+/// zero-copy core of [`try_simulate`]; a single trace replays as
+/// `std::slice::from_ref(&trace)`). Nothing is cloned.
 pub fn try_simulate_threads(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    // Validation already walks every event; interning rides along for free.
-    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
-    Engine::new_flat(cfg, &interned, threads.len()).try_run(threads)
+    drive_stats::<FlatTables, _>(cfg, &mut TraceFeed::checked(threads), None)
 }
 
 /// [`try_simulate_threads`] with a request-boundary classifier: each
 /// request's retire-to-retire simulated cycles land in the per-class
 /// latency histograms of [`RunStats::request_latency`]. Classification
 /// observes retired events in per-thread program order — the one order
-/// shared by every replay path — so the histograms are byte-identical
-/// across `--jobs`, SIMD/scalar and streaming/materialized replay. All
-/// other statistics are unchanged by classification.
+/// shared by every feed — so the histograms are byte-identical across
+/// `--jobs`, SIMD/scalar and streaming/materialized replay. All other
+/// statistics are unchanged by classification.
 pub fn try_simulate_threads_classified(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
     classifier: Box<dyn RequestClasses>,
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
-    let mut engine = Engine::new_flat(cfg, &interned, threads.len());
-    engine.set_classifier(classifier);
-    engine.try_run(threads)
+    drive_stats::<FlatTables, _>(cfg, &mut TraceFeed::checked(threads), Some(classifier))
 }
 
 /// Tuning knobs for the streaming replay pipeline.
@@ -485,31 +632,27 @@ pub struct StreamReport {
     pub digest: u64,
 }
 
-/// Replay an [`EventSource`] chunk-by-chunk under default
-/// [`StreamOptions`]: record → validate → intern → replay proceed one
-/// bounded window at a time, so the full trace is never materialized.
+/// Replay an [`EventSource`] chunk-by-chunk: record → validate → intern →
+/// replay proceed one bounded window at a time, so the full trace is
+/// never materialized. Pass [`StreamOptions::default`] unless the chunk
+/// size matters.
 ///
-/// Semantics match [`try_simulate`] exactly — same scheduler, same step
-/// budget, same statistics — with two documented exceptions: crash plans
-/// are not supported (use the materialized path), and statically
+/// Semantics match [`try_simulate`] exactly — same replay loop, same step
+/// budget, same statistics — with two documented exceptions: there is no
+/// streaming crash entry point (crash plans replay materialized traces
+/// through [`Machine::try_run_until_crash`]), and statically
 /// unsatisfiable acquires surface as [`EngineError::ReplayDeadlock`] at
 /// the point of the stall rather than [`EngineError::AcquireUnsatisfiable`]
 /// up front (a stream's future releases are unknowable; the runtime
 /// deadlock detector covers the same inputs).
-pub fn try_simulate_stream<S: EventSource>(
-    cfg: &MachineConfig,
-    source: &mut S,
-) -> Result<StreamReport, EngineError> {
-    try_simulate_stream_opts(cfg, source, StreamOptions::default())
-}
-
-/// [`try_simulate_stream`] with explicit [`StreamOptions`].
 pub fn try_simulate_stream_opts<S: EventSource>(
     cfg: &MachineConfig,
     source: &mut S,
     opts: StreamOptions,
 ) -> Result<StreamReport, EngineError> {
-    stream_impl(cfg, source, opts, None)
+    let mut feed = SourceFeed::new(cfg, source, opts);
+    let stats = drive_stats::<FlatTables, _>(cfg, &mut feed, None)?;
+    Ok(feed.report(stats))
 }
 
 /// [`try_simulate_stream_opts`] with a request-boundary classifier (the
@@ -523,52 +666,18 @@ pub fn try_simulate_stream_classified<S: EventSource>(
     opts: StreamOptions,
     classifier: Box<dyn RequestClasses>,
 ) -> Result<StreamReport, EngineError> {
-    stream_impl(cfg, source, opts, Some(classifier))
+    let mut feed = SourceFeed::new(cfg, source, opts);
+    let stats = drive_stats::<FlatTables, _>(cfg, &mut feed, Some(classifier))?;
+    Ok(feed.report(stats))
 }
 
-fn stream_impl<S: EventSource>(
-    cfg: &MachineConfig,
-    source: &mut S,
-    opts: StreamOptions,
-    classifier: Option<Box<dyn RequestClasses>>,
-) -> Result<StreamReport, EngineError> {
-    let threads = source.threads();
-    if threads == 0 {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
-    let mut feed = StreamFeed::new(cfg.line_size, threads, opts.chunk_events.max(1));
-    // The engine's materialized view is an empty stand-in: the streaming
-    // scheduler resolves events and id runs through the feed, and
-    // `finalize` resolves residual lines through the feed's interner.
-    let empty = InternedTraces::empty(cfg.line_size);
-    let mut engine = Engine::new_flat(cfg, &empty, threads);
-    if let Some(classifier) = classifier {
-        engine.set_classifier(classifier);
-    }
-    let mut steps: u64 = 0;
-    engine.replay_stream(source, &mut feed, &mut steps)?;
-    let stats = match engine.finalize(feed.interner(), steps)? {
-        CrashOutcome::Completed { stats, .. } => *stats,
-        // `crash` is never armed on the streaming path.
-        CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
-    };
-    Ok(StreamReport {
-        stats,
-        events: feed.fetched(),
-        chunks: feed.chunks(),
-        peak_pipeline_bytes: feed.peak_window_bytes() as u64,
-        digest: feed.digest(),
-    })
-}
-
-/// A configured machine: the owned-config entry point to replay.
+/// A configured machine: the owned-config entry point to crash-armed
+/// replay. Plain replays go through [`try_simulate`] and its siblings.
 ///
-/// [`Machine::try_run`] is the panic-free pipeline: it statically
-/// validates the trace set (rejecting malformed events and statically
-/// unsatisfiable acquires), then replays under the deadlock detector and
-/// the step-budget watchdog. [`Machine::run`] keeps the legacy panicking
-/// contract for callers that treat replay failure as a bug.
+/// [`Machine::try_run_until_crash`] validates the trace set like
+/// [`try_simulate`] and replays it under a simulated power-failure plan;
+/// [`Machine::recover_and_resume`] rebuilds a crashed machine from its
+/// [`CrashImage`] and replays the rest of the trace.
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -585,59 +694,16 @@ impl Machine {
         &self.cfg
     }
 
-    /// Replay `traces`, panicking with a formatted [`EngineError`] on
-    /// failure (thin wrapper over [`Machine::try_run`]).
-    pub fn run(&self, traces: &TraceSet) -> RunStats {
-        self.try_run(traces).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validate and replay `traces`.
-    ///
-    /// Returns every failure as a typed [`EngineError`]:
-    ///
-    /// * [`EngineError::EmptyTraceSet`] — no threads to replay.
-    /// * [`EngineError::MalformedTrace`] — static validation rejected an
-    ///   event (zero-size/oversize access, acquire of release #0).
-    /// * [`EngineError::AcquireUnsatisfiable`] — an acquire waits for more
-    ///   releases than the trace set performs (static deadlock).
-    /// * [`EngineError::ReplayDeadlock`] — a circular wait surfaced at
-    ///   replay time; the report names each blocked core, line and awaited
-    ///   sequence number.
-    /// * [`EngineError::StepBudgetExceeded`] — the watchdog fired (see
-    ///   [`MachineConfig::step_budget`]).
-    pub fn try_run(&self, traces: &TraceSet) -> Result<RunStats, EngineError> {
-        try_simulate_threads(&self.cfg, &traces.threads)
-    }
-
-    /// Replay an [`EventSource`] chunk-by-chunk without materializing the
-    /// trace; see [`try_simulate_stream`] for semantics and caveats.
-    pub fn try_run_stream<S: EventSource>(
-        &self,
-        source: &mut S,
-        opts: StreamOptions,
-    ) -> Result<StreamReport, EngineError> {
-        try_simulate_stream_opts(&self.cfg, source, opts)
-    }
-
-    /// [`Machine::try_run`] with a request-boundary classifier; see
-    /// [`try_simulate_threads_classified`].
-    pub fn try_run_classified(
-        &self,
-        traces: &TraceSet,
-        classifier: Box<dyn RequestClasses>,
-    ) -> Result<RunStats, EngineError> {
-        try_simulate_threads_classified(&self.cfg, &traces.threads, classifier)
-    }
-
     /// Replay `traces` under a simulated power-failure plan.
     ///
     /// The crash fires immediately *after* the triggering step retires; the
     /// machine then freezes and its state is partitioned into durable and
     /// volatile-lost (see [`crate::crash`]), returned as
     /// [`CrashOutcome::Crashed`]. A plan that never fires completes
-    /// normally as [`CrashOutcome::Completed`], whose digest covers the
-    /// final durable line set — the golden value a crash-plus-recovery run
-    /// must reproduce.
+    /// normally as [`CrashOutcome::Completed`], whose statistics equal
+    /// [`try_simulate`]'s and whose digest covers the final durable line
+    /// set — the golden value a crash-plus-recovery run must reproduce.
+    /// Errors are [`try_simulate`]'s.
     ///
     /// # Examples
     ///
@@ -665,15 +731,8 @@ impl Machine {
         traces: &TraceSet,
         plan: CrashPlan,
     ) -> Result<CrashOutcome, EngineError> {
-        let threads = &traces.threads;
-        if threads.is_empty() {
-            return Err(EngineError::EmptyTraceSet);
-        }
-        let interned = simcore::trace::validate_and_intern(threads, self.cfg.line_size)?;
-        let mut engine = Engine::new_flat(&self.cfg, &interned, threads.len());
-        engine.crash = Some(CrashCtx::new(plan));
-        engine.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
-        engine.run_to_outcome(threads)
+        let arming = Arming { crash: Some(plan), ..Arming::default() };
+        drive::<FlatTables, _>(&self.cfg, &mut TraceFeed::checked(&traces.threads), arming)
     }
 
     /// Rebuild a crashed machine from `image` and replay the rest of
@@ -689,95 +748,35 @@ impl Machine {
     ///
     /// Pass a `plan` to let the resumed segment crash again (crash-point
     /// counters restart at zero), or `None` to run to completion.
+    ///
+    /// An image that does not fit — a different core count or line size,
+    /// or a resume point past its thread's last event — is rejected with
+    /// [`EngineError::CrashImageMismatch`] naming the field.
     pub fn recover_and_resume(
         &self,
         traces: &TraceSet,
         image: &CrashImage,
         plan: Option<CrashPlan>,
     ) -> Result<CrashOutcome, EngineError> {
-        let threads = &traces.threads;
-        if threads.is_empty() {
-            return Err(EngineError::EmptyTraceSet);
-        }
-        if image.pcs.len() != threads.len() {
-            return Err(EngineError::CrashImageMismatch {
-                image_cores: image.pcs.len(),
-                trace_threads: threads.len(),
-            });
-        }
-        let interned = simcore::trace::validate_and_intern(threads, self.cfg.line_size)?;
-        let mut engine = Engine::new_flat(&self.cfg, &interned, threads.len());
         // A plan that can never fire keeps received-line tracking (and the
         // completion digest) active on plain resumes.
-        let mut ctx = CrashCtx::new(plan.unwrap_or(CrashPlan::AtStep(u64::MAX)));
-        ctx.received.extend(image.durable.iter().copied());
-        for &(line, count) in &image.releases {
-            ctx.releases.insert(line, count);
-        }
-        engine.crash = Some(ctx);
-        engine.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
-        for &(line, count) in &image.releases {
-            if let Some(id) = interned.interner().id_of(line) {
-                engine.tables.release_restore(id, line, count);
-            }
-        }
-        // Redo the lost writes: rewrite every volatile-lost line so the
-        // device image converges with an uninterrupted run's.
-        for &line in &image.lost {
-            engine.device_write_attributed(line, image.line_size, FuncId::UNKNOWN);
-        }
-        for (cid, &pc) in image.pcs.iter().enumerate() {
-            engine.cores[cid].pc = pc;
-        }
-        engine.run_to_outcome(threads)
-    }
-}
-
-impl<'a> Engine<'a, FlatTables> {
-    /// Build the production engine: flat tables recycled from this
-    /// thread's scratch set, an [`IdIndex`] installed on every cache.
-    fn new_flat(cfg: &'a MachineConfig, interned: &'a InternedTraces, cores: usize) -> Self {
-        debug_assert_eq!(interned.interner().line_size(), cfg.line_size);
-        let lines = interned.interner().len();
-        let mut scratch = take_scratch();
-        let mut flat = std::mem::take(&mut scratch.flat);
-        flat.reset(lines);
-        let mut engine = Self::with_tables(cfg, interned, cores, flat);
-        let mut install = |cache: &mut Cache| {
-            let mut ix = scratch.indices.pop().unwrap_or_default();
-            ix.reset(lines);
-            cache.install_id_index(ix);
+        let arming = Arming {
+            crash: Some(plan.unwrap_or(CrashPlan::AtStep(u64::MAX))),
+            resume: Some(image),
+            ..Arming::default()
         };
-        install(&mut engine.llc);
-        for c in &mut engine.cores {
-            install(&mut c.l1);
-        }
-        engine.wc_buf = std::mem::take(&mut scratch.wc_buf);
-        engine.residual = std::mem::take(&mut scratch.residual);
-        engine.sites = std::mem::take(&mut scratch.sites);
-        // Recycled tables are drained on every successful run; the reset
-        // here covers scratch from a run that errored out mid-replay.
-        engine.sites.reset();
-        engine
-    }
-}
-
-impl<'a> Engine<'a, HashTables> {
-    /// Build the hashed reference engine (the pre-interning data paths).
-    /// The interned view is carried but never consulted.
-    fn new_reference(cfg: &'a MachineConfig, interned: &'a InternedTraces, cores: usize) -> Self {
-        Self::with_tables(cfg, interned, cores, HashTables::default())
+        drive::<FlatTables, _>(&self.cfg, &mut TraceFeed::checked(&traces.threads), arming)
     }
 }
 
 impl<'a, T: LineTables> Engine<'a, T> {
-    fn with_tables(
-        cfg: &'a MachineConfig,
-        interned: &'a InternedTraces,
-        cores: usize,
-        tables: T,
-    ) -> Self {
-        assert!(cores > 0, "need at least one core");
+    /// A fresh engine with `cores` cores whose id-indexed state covers
+    /// `lines` interned ids. Id-indexed engines recycle this thread's
+    /// scratch set: the flat tables and an id index installed on every
+    /// cache. The reference engine leaves the set for the next flat run.
+    fn new(cfg: &'a MachineConfig, cores: usize, lines: usize) -> Self {
+        let mut scratch = if T::USE_IDS { take_scratch() } else { EngineScratch::default() };
+        let tables = T::fresh(&mut scratch.flat, lines);
         let cores = (0..cores)
             .map(|i| {
                 let mut sb = StoreBuffer::with_mlp(cfg.store_buffer_entries, cfg.sb_mlp);
@@ -796,53 +795,84 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 }
             })
             .collect();
+        let ts = cfg.timeseries_window.map(|w| TimeSeries::new(w.max(1), TS_CAPACITY));
         let mut engine = Self {
             cfg,
-            interned,
             llc: Cache::new(cfg.llc, cfg.seed ^ 0x5A5A),
             device: cfg.device.fresh(),
             tables,
             cores,
-            wc_buf: Vec::new(),
-            residual: Vec::new(),
+            wc_buf: std::mem::take(&mut scratch.wc_buf),
+            residual: std::mem::take(&mut scratch.residual),
             acts: crate::probes::ActionCounts::default(),
-            sites: SiteTable::new(),
+            sites: std::mem::take(&mut scratch.sites),
             unknown_site: [0; SITE_COLS],
             cur_step: 0,
             burst_next: 0,
             burst_bytes: 0,
             prev_write_line: None,
             crash: None,
-            ts: cfg.timeseries_window.map(|w| TimeSeries::new(w.max(1), TS_CAPACITY)),
-            ts_next_boundary: u64::MAX,
+            ts_next_boundary: ts.as_ref().map_or(u64::MAX, TimeSeries::next_boundary),
+            ts,
             ts_device_bytes: 0,
             classes: None,
             flight: None,
         };
-        if let Some(ts) = &engine.ts {
-            engine.ts_next_boundary = ts.next_boundary();
+        // Recycled tables are drained on every successful run; the reset
+        // here covers scratch from a run that errored out mid-replay.
+        engine.sites.reset();
+        if T::USE_IDS {
+            let mut install = |cache: &mut Cache| {
+                let mut ix = scratch.indices.pop().unwrap_or_default();
+                ix.reset(lines);
+                cache.install_id_index(ix);
+            };
+            install(&mut engine.llc);
+            for c in &mut engine.cores {
+                install(&mut c.l1);
+            }
         }
         engine
     }
 
-    /// Attach a request-boundary classifier: each class gets a latency
-    /// histogram of retire-to-retire simulated cycles between consecutive
-    /// boundaries on a thread, collected into
-    /// [`RunStats::request_latency`].
-    fn set_classifier(&mut self, classifier: Box<dyn RequestClasses>) {
-        let hist =
-            classifier.class_names().iter().map(|n| HistogramSample::empty(n)).collect();
-        self.classes = Some(ClassifierState {
-            classifier,
-            hist,
-            req_start: vec![0; self.cores.len()],
+    /// Arm the engine before replay: attach the classifier (each class
+    /// gets a latency histogram of retire-to-retire simulated cycles
+    /// between consecutive boundaries on a thread, collected into
+    /// [`RunStats::request_latency`]), the crash plan with the flight
+    /// recorder and, when resuming, rebuild the crashed machine from its
+    /// image. `interner` resolves the image's release lines to ids.
+    fn arm(&mut self, arming: Arming<'_>, interner: Option<&LineInterner>) {
+        if let Some(classifier) = arming.classifier {
+            let hist =
+                classifier.class_names().iter().map(|n| HistogramSample::empty(n)).collect();
+            let req_start = vec![0; self.cores.len()];
+            self.classes = Some(ClassifierState { classifier, hist, req_start });
+        }
+        let Some(plan) = arming.crash else { return };
+        let image = arming.resume;
+        self.crash = Some(CrashCtx {
+            plan,
+            fences_seen: 0,
+            received: image.map(|i| i.durable.iter().copied().collect()).unwrap_or_default(),
+            releases: image.map(|i| i.releases.iter().copied().collect()).unwrap_or_default(),
         });
-    }
-
-    /// Replay, panicking with a formatted [`EngineError`] on failure (thin
-    /// wrapper preserving the legacy contract of [`simulate`]).
-    fn run(self, traces: &[ThreadTrace]) -> RunStats {
-        self.try_run(traces).unwrap_or_else(|e| panic!("{e}"))
+        self.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
+        let Some(image) = image else { return };
+        for &(line, count) in &image.releases {
+            // A line the trace never touches has no id and no acquire to
+            // satisfy.
+            if let Some(id) = interner.map_or(Some(LineId::INVALID), |i| i.id_of(line)) {
+                self.tables.release_restore(id, line, count);
+            }
+        }
+        // Redo the lost writes: rewrite every volatile-lost line so the
+        // device image converges with an uninterrupted run's.
+        for &line in &image.lost {
+            self.device_write_attributed(line, image.line_size, FuncId::UNKNOWN);
+        }
+        for (cid, &pc) in image.pcs.iter().enumerate() {
+            self.cores[cid].pc = pc;
+        }
     }
 
     /// The cores currently blocked on acquires: `(core, line, seq)`.
@@ -854,53 +884,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
             .collect()
     }
 
-    fn try_run(self, traces: &[ThreadTrace]) -> Result<RunStats, EngineError> {
-        match self.run_to_outcome(traces)? {
-            CrashOutcome::Completed { stats, .. } => Ok(*stats),
-            // `crash` is `None` on every path reaching here, and the plan
-            // check is gated on it.
-            CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
-        }
-    }
-
-    fn run_to_outcome(mut self, traces: &[ThreadTrace]) -> Result<CrashOutcome, EngineError> {
-        assert_eq!(traces.len(), self.cores.len());
-        let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
-        // Progress watchdog: a valid replay executes at most ~2 steps per
-        // event (each step either consumes an event or re-runs an acquire
-        // exactly once after its wakeup), so the derived budget only fires
-        // on genuinely stuck or adversarial schedules.
-        let total_events: usize = traces.iter().map(|t| t.events.len()).sum();
-        let budget = self.cfg.effective_step_budget(total_events);
-        let mut steps: u64 = 0;
-        // Single-core traces (every figure-suite microbenchmark and the
-        // bulk of recorded workloads) have no scheduling decision to make,
-        // so crash-free replays take a fast path that batch-decodes events
-        // into fixed-size SoA chunks and skips the per-step core scan.
-        // Multi-core and crash-armed replays run the generic scheduler —
-        // stepping the runnable core with the smallest clock *is* the
-        // semantics there, so nothing is batched across those decisions.
-        // Both paths execute the same events in the same order under the
-        // same budget and blocked-acquire rules: RunStats are
-        // byte-identical by construction (pinned by the equivalence suite).
-        if self.cores.len() == 1 && self.crash.is_none() {
-            self.replay_single_core(traces, budget, &mut steps)?;
-        } else if self.replay_generic(traces, budget, &mut steps)? {
-            return Ok(CrashOutcome::Crashed(Box::new(self.freeze_crash(steps))));
-        }
-        let interned: &'a InternedTraces = self.interned;
-        self.finalize(interned.interner(), steps)
-    }
-
     /// Close out a completed replay: final drains, residual dirty-line
     /// accounting, device flush, stats assembly and scratch recycling.
-    /// `interner` resolves residual line addresses back to ids — the
-    /// trace's interned view on the materialized path, the feed's growing
-    /// interner on the streaming path (the engine's own `interned` field
-    /// is an empty stand-in there).
+    /// `interner` is the feed's, and resolves residual line addresses back
+    /// to ids (`None` on the reference engine, which keys by address).
     fn finalize(
         mut self,
-        interner: &simcore::LineInterner,
+        interner: Option<&LineInterner>,
         steps: u64,
     ) -> Result<CrashOutcome, EngineError> {
         // Programs complete when their stores are globally visible. These
@@ -928,11 +918,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             // Resolve the interned id so the flat tables can look up the
             // line's first-dirty tag (end-of-run frequency: one hash probe
             // per residual line, never on the step path).
-            let id = if T::USE_IDS {
-                interner.id_of(line).unwrap_or(LineId::INVALID)
-            } else {
-                LineId::INVALID
-            };
+            let id = interner.and_then(|i| i.id_of(line)).unwrap_or(LineId::INVALID);
             let (site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((FuncId::UNKNOWN, self.cur_step));
             self.site_add(site, site_col::RESIDUAL_LINES, 1);
@@ -1033,12 +1019,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         }
         // Hand the reusable allocations back for the next run on this
         // thread (flat tables only; the reference tables drop them).
-        let mut indices = Vec::new();
-        if T::USE_IDS {
-            indices.extend(self.llc.take_id_index());
-            for c in &mut self.cores {
-                indices.extend(c.l1.take_id_index());
-            }
+        let mut indices: Vec<_> = self.llc.take_id_index().into_iter().collect();
+        for c in &mut self.cores {
+            indices.extend(c.l1.take_id_index());
         }
         self.residual.clear();
         self.wc_buf.clear();
@@ -1054,20 +1037,29 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(CrashOutcome::Completed { stats: Box::new(stats), durable_digest })
     }
 
-    /// The generic replay scheduler: step the runnable core with the
-    /// smallest clock that still has events; blocked cores wake up when
-    /// their awaited release lands (see [`Schedule`]). Returns `Ok(true)`
-    /// when an armed crash plan fired (the caller freezes the machine at
-    /// `steps`).
-    fn replay_generic(
-        &mut self,
-        traces: &[ThreadTrace],
-        budget: u64,
-        steps: &mut u64,
-    ) -> Result<bool, EngineError> {
-        let end = |cid: CoreId| traces[cid].events.len();
-        let mut sched = Schedule::new(&self.cores, end);
-        while let Some(cid) = self.pick_core(&mut sched, end)? {
+    /// The replay loop, over any [`Feed`]: step the runnable core with the
+    /// smallest clock ([`Engine::pick_core`]) until every core is finished.
+    ///
+    /// Every window is filled up front; after that, a core whose window is
+    /// spent refills right after the step that spent it, before its clock
+    /// slot is refreshed. After any refill the engine's id-indexed tables
+    /// grow to cover the newly interned lines and the step budget is
+    /// re-derived from the events fetched so far — the budget only grows,
+    /// and a valid replay executes at most ~2 steps per fetched event, so
+    /// intermediate budgets never fire on schedules a materialized replay
+    /// accepts. A materialized feed never refills, so its budget is fixed.
+    ///
+    /// Returns `Ok(true)` when an armed crash plan fired (the caller freezes
+    /// the machine at `steps`).
+    fn replay<F: Feed>(&mut self, feed: &mut F, steps: &mut u64) -> Result<bool, EngineError> {
+        self.refill_spent(feed, 0..self.cores.len())?;
+        // Progress watchdog: a valid replay executes at most ~2 steps per
+        // event (each step either consumes an event or re-runs an acquire
+        // exactly once after its wakeup), so the derived budget only fires
+        // on genuinely stuck or adversarial schedules.
+        let mut budget = self.cfg.effective_step_budget(feed.fetched() as usize);
+        let mut sched = Schedule::new(&self.cores, |cid| feed.end(cid));
+        while let Some(cid) = self.pick_core(&mut sched, |cid| feed.end(cid))? {
             *steps += 1;
             self.cur_step = *steps;
             if *steps > budget {
@@ -1079,25 +1071,24 @@ impl<'a, T: LineTables> Engine<'a, T> {
                         .cores
                         .iter()
                         .enumerate()
-                        .map(|(i, c)| (i, c.pc, end(i)))
+                        .map(|(i, c)| (i, c.pc, feed.end(i)))
                         .collect(),
                 });
             }
             let idx = self.cores[cid].pc;
-            let ev = traces[cid].events[idx];
+            let (ev, ids) = feed.event(cid, idx);
             self.cores[cid].pc += 1;
             let before = self.cores[cid].now;
-            // The id run borrows from the trace's interned view (`'a`),
-            // not `self`, so it stays usable across the `&mut self` call.
-            let interned: &'a InternedTraces = self.interned;
-            let ids: &[LineId] = if T::USE_IDS { interned.ids_for(cid, idx) } else { &[] };
             self.step(cid, ev, ids)?;
             let spent = self.cores[cid].now - before;
             if spent > 0 {
                 self.tables.func_add(ev.func, spent);
             }
             self.after_step(cid, &ev);
-            sched.stepped(cid, &self.cores[cid], end(cid), ev.kind);
+            if self.refill_spent(feed, cid..cid + 1)? {
+                budget = self.cfg.effective_step_budget(feed.fetched() as usize);
+            }
+            sched.stepped(cid, &self.cores[cid], feed.end(cid), ev.kind);
             // Power-failure injection: the triggering step has retired (pc
             // already advanced), so every crash-recovery segment consumes
             // at least one event and iterated crash-recovery terminates.
@@ -1118,11 +1109,39 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(false)
     }
 
-    /// The scheduling decision shared by the materialized and streaming
-    /// loops: wake the blocked cores a release satisfied (at the release's
-    /// time), then pick the runnable core with the smallest clock, lowest
-    /// id on ties. `Ok(None)` means every core is finished;
-    /// [`EngineError::ReplayDeadlock`] means only blocked cores remain.
+    /// Refill the spent windows among cores `cids`. If any refill was
+    /// attempted, extend every id-indexed structure (flat tables, per-cache
+    /// [`cachesim::IdIndex`]es) to the feed's interned lines and return
+    /// `true` (the caller re-derives the step budget). A streaming feed
+    /// interns new lines chunk-by-chunk mid-run, so the id space grows
+    /// while existing entries keep their state — growth never bumps an
+    /// epoch (see [`FlatTables::grow`] for why that is sound).
+    fn refill_spent<F: Feed>(
+        &mut self,
+        feed: &mut F,
+        cids: std::ops::Range<CoreId>,
+    ) -> Result<bool, EngineError> {
+        let mut refilled = false;
+        for cid in cids {
+            refilled |= feed.refill(cid, self.cores[cid].pc)?;
+        }
+        if let Some(interner) = feed.interner().filter(|_| refilled) {
+            // A no-op on address-keyed tables and caches without an index.
+            let lines = interner.len();
+            self.tables.grow(lines);
+            self.llc.grow_id_index(lines);
+            for c in &mut self.cores {
+                c.l1.grow_id_index(lines);
+            }
+        }
+        Ok(refilled)
+    }
+
+    /// The scheduling decision of the replay loop: wake the blocked cores a
+    /// release satisfied (at the release's time), then pick the runnable
+    /// core with the smallest clock, lowest id on ties. `Ok(None)` means
+    /// every core is finished; [`EngineError::ReplayDeadlock`] means only
+    /// blocked cores remain.
     #[inline]
     fn pick_core(
         &mut self,
@@ -1181,180 +1200,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(None)
     }
 
-    /// The single-core fast path: no scheduler scan, events batch-decoded
-    /// into SoA chunks. The step count, budget check, per-function cycle
-    /// attribution and blocked-acquire retry all follow the generic
-    /// scheduler's order exactly, so a single-core replay produces
-    /// byte-identical [`RunStats`] on either path.
-    fn replay_single_core(
-        &mut self,
-        traces: &[ThreadTrace],
-        budget: u64,
-        steps: &mut u64,
-    ) -> Result<(), EngineError> {
-        let events = &traces[0].events;
-        let mut chunk = EventChunk::new();
-        while self.cores[0].pc < events.len() {
-            let idx = self.cores[0].pc;
-            if !chunk.covers(idx) {
-                chunk.refill(events, idx);
-            }
-            *steps += 1;
-            self.cur_step = *steps;
-            if *steps > budget {
-                return Err(EngineError::StepBudgetExceeded {
-                    steps: *steps,
-                    budget,
-                    blocked: self.blocked_report(),
-                    progress: vec![(0, self.cores[0].pc, events.len())],
-                });
-            }
-            let ev = chunk.get(idx);
-            self.cores[0].pc += 1;
-            let before = self.cores[0].now;
-            let interned: &'a InternedTraces = self.interned;
-            let ids: &[LineId] = if T::USE_IDS { interned.ids_for(0, idx) } else { &[] };
-            self.step(0, ev, ids)?;
-            let spent = self.cores[0].now - before;
-            if spent > 0 {
-                self.tables.func_add(ev.func, spent);
-            }
-            self.after_step(0, &ev);
-            if let Some((line, id, seq)) = self.cores[0].blocked {
-                // An acquire blocked (pc rewound to retry it). With one
-                // core the only releases that can satisfy it are ones this
-                // core already performed, so re-check once: either wake up
-                // — the next loop iteration re-runs the acquire as its own
-                // step, exactly like the generic scheduler — or report the
-                // deadlock the scheduler would report on its next pass.
-                match self.tables.release_get(id, line) {
-                    Some((count, when)) if count >= seq => {
-                        self.cores[0].now = self.cores[0].now.max(when);
-                        self.cores[0].blocked = None;
-                    }
-                    _ => {
-                        return Err(EngineError::ReplayDeadlock {
-                            blocked: self.blocked_report(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Extend every id-indexed structure (flat tables, per-cache
-    /// [`cachesim::IdIndex`]es) to cover `lines` interned ids. Streaming
-    /// replays intern new lines chunk-by-chunk mid-run, so the id space
-    /// grows while existing entries keep their state — growth never bumps
-    /// an epoch (see [`FlatTables::grow`] for why that is sound).
-    fn grow_line_space(&mut self, lines: usize) {
-        self.tables.grow(lines);
-        if T::USE_IDS {
-            self.llc.grow_id_index(lines);
-            for c in &mut self.cores {
-                c.l1.grow_id_index(lines);
-            }
-        }
-    }
-
-    /// The streaming replay scheduler: the same [`Engine::pick_core`]
-    /// decision, wakeup, deadlock and budget semantics as
-    /// [`Engine::replay_generic`], but events and interned-id runs come
-    /// from `feed`'s bounded chunk windows instead of materialized traces.
-    /// Every window is filled up front; after that, a core whose window is
-    /// spent refills it from `source` right after the step that spent it
-    /// (validate + digest + intern ride along per event), before its clock
-    /// slot is refreshed. After any refill the engine's id-indexed tables
-    /// grow to cover the newly interned lines and the step budget is
-    /// re-derived from the events fetched so far — the budget only grows,
-    /// and a valid replay executes at most ~2 steps per fetched event, so
-    /// intermediate budgets never fire on schedules the materialized path
-    /// accepts.
-    ///
-    /// Crash plans are not supported here (freezing a machine needs the
-    /// full durable-set bookkeeping of the materialized path).
-    fn replay_stream<S: EventSource>(
-        &mut self,
-        source: &mut S,
-        feed: &mut StreamFeed,
-        steps: &mut u64,
-    ) -> Result<(), EngineError> {
-        debug_assert!(self.crash.is_none(), "crash plans require the materialized path");
-        let n = self.cores.len();
-        debug_assert_eq!(n, feed.threads());
-        let mut budget = self.cfg.effective_step_budget(0);
-        self.refill_spent(source, feed, 0..n, &mut budget)?;
-        let mut sched = Schedule::new(&self.cores, |cid| feed.end(cid));
-        while let Some(cid) = self.pick_core(&mut sched, |cid| feed.end(cid))? {
-            *steps += 1;
-            self.cur_step = *steps;
-            if *steps > budget {
-                return Err(EngineError::StepBudgetExceeded {
-                    steps: *steps,
-                    budget,
-                    blocked: self.blocked_report(),
-                    progress: self
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| (i, c.pc, feed.end(i)))
-                        .collect(),
-                });
-            }
-            let idx = self.cores[cid].pc;
-            let ev = feed.event(cid, idx);
-            self.cores[cid].pc += 1;
-            let before = self.cores[cid].now;
-            let ids: &[LineId] = if T::USE_IDS { feed.ids(cid, idx) } else { &[] };
-            self.step(cid, ev, ids)?;
-            let spent = self.cores[cid].now - before;
-            if spent > 0 {
-                self.tables.func_add(ev.func, spent);
-            }
-            self.after_step(cid, &ev);
-            self.refill_spent(source, feed, cid..cid + 1, &mut budget)?;
-            sched.stepped(cid, &self.cores[cid], feed.end(cid), ev.kind);
-        }
-        Ok(())
-    }
-
-    /// Refill the spent windows among cores `cids` from `source`.
-    /// Blocked-acquire retries rewind `pc` within the current window,
-    /// never before it, so a core with `pc >= end` has truly consumed its
-    /// window; after this, such a core's source is exhausted. If any window
-    /// was refilled, grow the id-indexed state and re-derive `budget`.
-    fn refill_spent<S: EventSource>(
-        &mut self,
-        source: &mut S,
-        feed: &mut StreamFeed,
-        cids: std::ops::Range<CoreId>,
-        budget: &mut u64,
-    ) -> Result<(), EngineError> {
-        let mut grew = false;
-        for cid in cids {
-            if !feed.exhausted(cid) && self.cores[cid].pc >= feed.end(cid) {
-                feed.refill(source, cid)?;
-                grew = true;
-                // Coarse marker in the process-global flight ring
-                // (chunk-granular, so the lock is off the step path);
-                // dumped only when a supervised job fails.
-                simcore::telemetry::flight::note(FlightKind::Refill, cid as u64, feed.fetched());
-            }
-        }
-        if grew {
-            self.grow_line_space(feed.interner().len());
-            *budget = self.cfg.effective_step_budget(feed.fetched() as usize);
-        }
-        Ok(())
-    }
-
     /// Freeze the machine at a simulated power failure and partition its
     /// state into durable and volatile-lost (see [`crate::crash`] for the
     /// partition rules). Consumes the engine: a crashed machine does not
     /// resume — [`Machine::recover_and_resume`] builds a fresh one from
     /// the returned image.
-    fn freeze_crash(mut self, at_step: u64) -> CrashReport {
+    /// `interner` is the feed's, as in [`Engine::finalize`].
+    fn freeze_crash(mut self, interner: Option<&LineInterner>, at_step: u64) -> CrashReport {
         let ctx = self.crash.take().expect("freeze_crash requires an armed crash context");
         let line_size = self.cfg.line_size;
         // Volatile-lost state, gathered level by level. Duplicates are fine
@@ -1401,11 +1253,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let mut sites: SiteTable<CRASH_COLS> = SiteTable::new();
         let mut unknown = [0u64; CRASH_COLS];
         for &line in &lost {
-            let id = if T::USE_IDS {
-                self.interned.interner().id_of(line).unwrap_or(LineId::INVALID)
-            } else {
-                LineId::INVALID
-            };
+            let id = interner.and_then(|i| i.id_of(line)).unwrap_or(LineId::INVALID);
             let site =
                 self.tables.dirt_take(id, line).map_or(FuncId::UNKNOWN, |(site, _)| site);
             if site == FuncId::UNKNOWN {
@@ -1480,10 +1328,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
     }
 
     /// Execute one event. `ids` is the event's pre-resolved id run in
-    /// splitting order (empty on the reference path): the caller fetches
-    /// it — from the trace's interned view on the materialized path, from
-    /// the chunk feed's window on the streaming path — so the step logic
-    /// itself is source-agnostic.
+    /// splitting order (empty on the reference engine), fetched from the
+    /// feed, so the step logic itself is source-agnostic.
     fn step(&mut self, cid: CoreId, ev: simcore::Event, ids: &[LineId]) -> Result<(), EngineError> {
         let line_size = self.cfg.line_size;
         match ev.kind {
@@ -1564,14 +1410,14 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(())
     }
 
-    /// Post-step observation hooks, shared by all three replay paths and
-    /// called once per scheduler step, after the event executed and its
-    /// cycles were attributed. With every feature off this is one integer
+    /// Post-step observation hooks, called once per scheduler step of the
+    /// replay loop, after the event executed and its cycles were
+    /// attributed. With every feature off this is one integer
     /// compare and two `Option` checks. The classifier and the flight
     /// recorder observe *retired* events only: an acquire that blocked
     /// (`pc` rewound for retry) is skipped here and observed when it
     /// re-runs and succeeds, so each trace event is seen exactly once, in
-    /// per-thread program order — identical across replay paths.
+    /// per-thread program order — identical across feeds.
     #[inline]
     fn after_step(&mut self, cid: CoreId, ev: &simcore::Event) {
         let now = self.cores[cid].now;
@@ -2131,6 +1977,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use crate::error::CrashImageField;
     use simcore::{PrestoreOp, Tracer};
 
     fn trace_of(f: impl FnOnce(&mut Tracer)) -> ThreadTrace {
@@ -2189,7 +2036,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_replay_single_thread_matches_fast_path() {
+    fn stream_replay_single_thread_matches_materialized() {
         let trace = trace_of(|t| {
             for i in 0..500u64 {
                 t.write(i * 64, 64);
@@ -2198,7 +2045,7 @@ mod tests {
             t.fence();
         });
         let cfg = MachineConfig::machine_a();
-        let golden = try_simulate_single(&cfg, &trace).unwrap();
+        let golden = try_simulate_threads(&cfg, std::slice::from_ref(&trace)).unwrap();
         let threads = [trace];
         let mut src = simcore::SliceSource::new(&threads);
         let report =
@@ -2216,7 +2063,7 @@ mod tests {
         let threads = [trace_of(|t| t.acquire(0, 1))];
         let cfg = MachineConfig::machine_a();
         let mut src = simcore::SliceSource::new(&threads);
-        let err = try_simulate_stream(&cfg, &mut src).unwrap_err();
+        let err = try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::ReplayDeadlock { .. }), "{err}");
     }
 
@@ -2226,15 +2073,64 @@ mod tests {
         let threads: [ThreadTrace; 0] = [];
         let mut src = simcore::SliceSource::new(&threads);
         assert!(matches!(
-            try_simulate_stream(&cfg, &mut src).unwrap_err(),
+            try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err(),
             EngineError::EmptyTraceSet
         ));
         let threads = [trace_of(|t| t.write(0, 0))];
         let mut src = simcore::SliceSource::new(&threads);
         assert!(matches!(
-            try_simulate_stream(&cfg, &mut src).unwrap_err(),
+            try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err(),
             EngineError::MalformedTrace(simcore::ValidateError::ZeroSizeAccess { .. })
         ));
+    }
+
+    /// A source that appends `inner`'s events but misreports how many, by
+    /// `skew` (saturating at zero).
+    struct Misreporting<'a> {
+        inner: simcore::SliceSource<'a>,
+        skew: isize,
+    }
+
+    impl EventSource for Misreporting<'_> {
+        fn threads(&self) -> usize {
+            self.inner.threads()
+        }
+
+        fn fill(&mut self, thread: usize, max: usize, buf: &mut Vec<simcore::Event>) -> usize {
+            self.inner.fill(thread, max, buf).saturating_add_signed(self.skew)
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    #[test]
+    fn stream_replay_trusts_appended_events_not_fill_counts() {
+        let t0 = trace_of(|t| {
+            for i in 0..100u64 {
+                t.write(i * 64, 64);
+            }
+            t.atomic(1 << 40, 8);
+        });
+        let t1 = trace_of(|t| {
+            t.acquire(1 << 40, 1);
+            for i in 0..100u64 {
+                t.read(i * 64, 16);
+            }
+        });
+        let threads = [t0, t1];
+        let cfg = MachineConfig::machine_a();
+        let replay = |skew| {
+            let mut src = Misreporting { inner: simcore::SliceSource::new(&threads), skew };
+            let r = try_simulate_stream_opts(&cfg, &mut src, StreamOptions { chunk_events: 7 })
+                .unwrap_or_else(|e| panic!("skew {skew}: {e}"));
+            (r.stats, r.events, r.chunks, r.peak_pipeline_bytes, r.digest)
+        };
+        let honest = replay(0);
+        for skew in [-1_000, -1, 1, 1_000] {
+            assert_eq!(replay(skew), honest, "skew {skew}");
+        }
     }
 
     #[test]
@@ -2477,23 +2373,22 @@ mod tests {
     }
 
     #[test]
-    fn try_run_rejects_empty_trace_set() {
-        let m = Machine::new(MachineConfig::machine_a());
-        assert_eq!(m.try_run(&TraceSet::default()), Err(EngineError::EmptyTraceSet));
+    fn try_simulate_rejects_empty_trace_set() {
+        let cfg = MachineConfig::machine_a();
+        assert_eq!(try_simulate(&cfg, &TraceSet::default()), Err(EngineError::EmptyTraceSet));
     }
 
     #[test]
-    fn try_run_rejects_malformed_trace() {
-        let m = Machine::new(MachineConfig::machine_a());
+    fn try_simulate_rejects_malformed_trace() {
+        let cfg = MachineConfig::machine_a();
         let traces = TraceSet::new(vec![trace_of(|t| t.read(0, 0))]);
-        assert!(matches!(m.try_run(&traces), Err(EngineError::MalformedTrace(_))));
+        assert!(matches!(try_simulate(&cfg, &traces), Err(EngineError::MalformedTrace(_))));
     }
 
     #[test]
-    fn try_run_rejects_unsatisfiable_acquire_statically() {
-        let m = Machine::new(MachineConfig::machine_a());
+    fn try_simulate_rejects_unsatisfiable_acquire_statically() {
         let traces = TraceSet::new(vec![trace_of(|t| t.acquire(0x40, 1))]);
-        match m.try_run(&traces) {
+        match try_simulate(&MachineConfig::machine_a(), &traces) {
             Err(EngineError::AcquireUnsatisfiable { core, line, seq, available, .. }) => {
                 assert_eq!((core, line, seq, available), (0, 0x40, 1, 0));
             }
@@ -2512,8 +2407,8 @@ mod tests {
         let mut b = Tracer::new();
         b.acquire(0x40, 1); // ...which waits for a's atomic.
         b.atomic(0x80, 8);
-        let m = Machine::new(MachineConfig::machine_a());
-        match m.try_run(&TraceSet::new(vec![a.finish(), b.finish()])) {
+        let traces = TraceSet::new(vec![a.finish(), b.finish()]);
+        match try_simulate(&MachineConfig::machine_a(), &traces) {
             Err(EngineError::ReplayDeadlock { blocked }) => {
                 assert_eq!(blocked.len(), 2, "{blocked:?}");
                 assert!(blocked.contains(&(0, 0x80, 1)), "{blocked:?}");
@@ -2524,7 +2419,7 @@ mod tests {
     }
 
     #[test]
-    fn run_panics_with_deadlock_message() {
+    fn simulate_panics_with_deadlock_message() {
         let mut a = Tracer::new();
         a.acquire(0x80, 1);
         a.atomic(0x40, 8);
@@ -2532,8 +2427,8 @@ mod tests {
         b.acquire(0x40, 1);
         b.atomic(0x80, 8);
         let traces = TraceSet::new(vec![a.finish(), b.finish()]);
-        let m = Machine::new(MachineConfig::machine_a());
-        let msg = std::panic::catch_unwind(move || m.run(&traces))
+        let cfg = MachineConfig::machine_a();
+        let msg = std::panic::catch_unwind(move || simulate(&cfg, &traces))
             .expect_err("deadlocked run must panic");
         let msg = msg.downcast_ref::<String>().expect("panic payload is a String");
         assert!(msg.contains("deadlock"), "{msg}");
@@ -2549,8 +2444,7 @@ mod tests {
                 t.write(i * 64, 64);
             }
         });
-        let m = Machine::new(cfg);
-        match m.try_run(&TraceSet::new(vec![trace])) {
+        match try_simulate(&cfg, &TraceSet::new(vec![trace])) {
             Err(EngineError::StepBudgetExceeded { steps, budget, progress, .. }) => {
                 assert_eq!(budget, 10);
                 assert_eq!(steps, 11);
@@ -2571,10 +2465,9 @@ mod tests {
             p.atomic(0x40, 8);
             c.acquire(0x40, (i + 1) as u32);
         }
-        let m = Machine::new(MachineConfig::machine_a());
-        let stats = m
-            .try_run(&TraceSet::new(vec![p.finish(), c.finish()]))
-            .expect("valid trace must replay");
+        let traces = TraceSet::new(vec![p.finish(), c.finish()]);
+        let stats =
+            try_simulate(&MachineConfig::machine_a(), &traces).expect("valid trace must replay");
         assert_eq!(stats.cores.len(), 2);
     }
 
@@ -2686,7 +2579,7 @@ mod tests {
         let d2 = digest_of(m.try_run_until_crash(&traces, CrashPlan::AtStep(u64::MAX)));
         assert_eq!(d1, d2, "digest is deterministic");
         // The armed-but-unfired run must not perturb the stats themselves.
-        let plain = m.try_run(&traces).expect("valid");
+        let plain = try_simulate(&cfg, &traces).expect("valid");
         match m.try_run_until_crash(&traces, CrashPlan::AtStep(u64::MAX)).expect("valid") {
             CrashOutcome::Completed { stats, .. } => assert_eq!(*stats, plain),
             CrashOutcome::Crashed(_) => panic!("plan cannot fire"),
@@ -2749,9 +2642,31 @@ mod tests {
             trace_of(|t| t.write(0, 64)),
             trace_of(|t| t.write(64, 64)),
         ]);
+        let mismatch = |field, image, expected| {
+            Err(EngineError::CrashImageMismatch { field, image, expected })
+        };
         assert_eq!(
             m.recover_and_resume(&two_threads, &report.image, None),
-            Err(EngineError::CrashImageMismatch { image_cores: 1, trace_threads: 2 })
+            mismatch(CrashImageField::Cores, 1, 2)
+        );
+        // An image taken with other line sizes would redo the wrong
+        // traffic.
+        let mut wide = report.image.clone();
+        wide.line_size = 128;
+        assert_eq!(
+            m.recover_and_resume(&traces, &wide, None),
+            mismatch(CrashImageField::LineSize, 128, 64)
+        );
+        // Resuming at the end of a thread is fine (it has finished); past
+        // it is not.
+        let mut done = report.image.clone();
+        done.pcs[0] = 100;
+        assert!(m.recover_and_resume(&traces, &done, None).is_ok());
+        let mut past = report.image.clone();
+        past.pcs[0] = 101;
+        assert_eq!(
+            m.recover_and_resume(&traces, &past, None),
+            mismatch(CrashImageField::Pc(0), 101, 100)
         );
     }
 
@@ -2833,7 +2748,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_run_on_valid_traces() {
+    fn try_simulate_matches_simulate_on_valid_traces() {
         let trace = trace_of(|t| {
             for i in 0..200u64 {
                 t.write(i * 64, 64);
@@ -2843,7 +2758,7 @@ mod tests {
         });
         let cfg = MachineConfig::machine_a();
         let via_run = simulate_single(&cfg, &trace);
-        let via_try = try_simulate_single(&cfg, &trace).expect("valid");
+        let via_try = try_simulate_threads(&cfg, std::slice::from_ref(&trace)).expect("valid");
         assert_eq!(via_run, via_try);
     }
 
@@ -2858,7 +2773,7 @@ mod tests {
         });
         let mut cfg = MachineConfig::machine_a();
         cfg.timeseries_window = Some(1000);
-        let sampled = try_simulate_single(&cfg, &trace).unwrap();
+        let sampled = try_simulate_threads(&cfg, std::slice::from_ref(&trace)).unwrap();
         assert!(!sampled.timeseries.is_empty());
         assert_eq!(sampled.timeseries_window_cycles, 1000);
         for pair in sampled.timeseries.windows(2) {
@@ -2876,7 +2791,7 @@ mod tests {
         );
         // Sampling must not perturb the simulation itself: everything but
         // the series matches an unsampled run byte for byte.
-        let plain = try_simulate_single(&MachineConfig::machine_a(), &trace).unwrap();
+        let plain = try_simulate_threads(&MachineConfig::machine_a(), std::slice::from_ref(&trace)).unwrap();
         assert!(plain.timeseries.is_empty());
         assert_eq!(plain.timeseries_window_cycles, 0);
         let mut stripped = sampled.clone();
@@ -2897,7 +2812,7 @@ mod tests {
         });
         let mut cfg = MachineConfig::machine_a();
         cfg.timeseries_window = Some(500);
-        let golden = try_simulate_single(&cfg, &trace).unwrap();
+        let golden = try_simulate_threads(&cfg, std::slice::from_ref(&trace)).unwrap();
         let threads = [trace];
         for chunk_events in [9usize, 65_536] {
             let mut src = simcore::SliceSource::new(&threads);
@@ -2930,7 +2845,7 @@ mod tests {
         assert!(op.p50() > 0);
         assert!(op.p999() >= op.p99() && op.p99() >= op.p50());
         // Classification must not perturb the simulation.
-        let plain = try_simulate_single(&cfg, &trace).unwrap();
+        let plain = try_simulate_threads(&cfg, std::slice::from_ref(&trace)).unwrap();
         let mut stripped = stats.clone();
         stripped.request_latency = Vec::new();
         assert_eq!(stripped, plain);

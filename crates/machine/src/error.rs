@@ -7,17 +7,31 @@
 //! reported with enough structure to name the blocked core, line and
 //! sequence number instead of a bare panic message.
 //!
-//! The panicking entry points ([`crate::simulate`], [`crate::Engine`]'s
-//! `run`) format an [`EngineError`] into their panic payload, so the
-//! legacy behaviour (and the `"deadlock"` substring tests match on) is
-//! preserved while [`crate::Machine::try_run`] and [`crate::try_simulate`]
-//! return the typed value.
+//! The panicking entry points ([`crate::simulate`],
+//! [`crate::simulate_single`], [`crate::simulate_reference`]) format an
+//! [`EngineError`] into their panic payload, so the legacy behaviour (and
+//! the `"deadlock"` substring tests match on) is preserved while
+//! [`crate::try_simulate`] and the other fallible entry points return the
+//! typed value.
 
 use simcore::{Addr, CoreId, ValidateError};
 use std::fmt;
 
 /// One core stuck on an acquire: `(core, line, awaited release sequence)`.
 pub type BlockedAcquire = (CoreId, Addr, u64);
+
+/// The part of a [`crate::CrashImage`] that does not fit a resume (see
+/// [`EngineError::CrashImageMismatch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashImageField {
+    /// The number of per-core resume points, against the trace set's
+    /// threads.
+    Cores,
+    /// The crashed machine's line size, against the resuming machine's.
+    LineSize,
+    /// One core's resume point, against its thread's event count.
+    Pc(CoreId),
+}
 
 /// Why a replay could not produce [`crate::RunStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,14 +76,19 @@ pub enum EngineError {
         progress: Vec<(CoreId, usize, usize)>,
     },
     /// A crash image from [`crate::Machine::try_run_until_crash`] was
-    /// handed to [`crate::Machine::recover_and_resume`] with a trace set
-    /// of a different shape: recovery replays the *same* trace the crash
-    /// interrupted, so the per-core resume points must line up.
+    /// handed to [`crate::Machine::recover_and_resume`] with a machine or
+    /// trace set it does not fit: recovery replays the *same* trace the
+    /// crash interrupted, on a machine with the same line size, so the
+    /// per-core resume points and the redo set must line up.
     CrashImageMismatch {
-        /// Cores recorded in the crash image.
-        image_cores: usize,
-        /// Threads in the trace set being resumed.
-        trace_threads: usize,
+        /// The image field that does not fit.
+        field: CrashImageField,
+        /// That field's value in the image.
+        image: u64,
+        /// The value the resume requires: the trace set's thread count,
+        /// the machine's line size, or the largest resume point the
+        /// core's thread allows (its event count).
+        expected: u64,
     },
     /// A store could not be placed because the core's store buffer was
     /// full even after a forced head drain — engine state corruption,
@@ -118,11 +137,23 @@ impl fmt::Display for EngineError {
                 }
                 Ok(())
             }
-            EngineError::CrashImageMismatch { image_cores, trace_threads } => write!(
-                f,
-                "crash image mismatch: image records {image_cores} core(s) but the trace \
-                 set being resumed has {trace_threads} thread(s)"
-            ),
+            EngineError::CrashImageMismatch { field, image, expected } => match field {
+                CrashImageField::Cores => write!(
+                    f,
+                    "crash image mismatch: image records {image} core(s) but the trace \
+                     set being resumed has {expected} thread(s)"
+                ),
+                CrashImageField::LineSize => write!(
+                    f,
+                    "crash image mismatch: image was taken with {image} B lines but the \
+                     machine uses {expected} B lines"
+                ),
+                CrashImageField::Pc(core) => write!(
+                    f,
+                    "crash image mismatch: core {core} resumes at event {image} but its \
+                     thread has only {expected} events"
+                ),
+            },
             EngineError::StoreBufferOverflow { core, line, capacity } => write!(
                 f,
                 "store buffer overflow on core {core}: no room for line {line:#x} \

@@ -10,10 +10,23 @@
 //! * [`simulate`] — replay a [`simcore::TraceSet`] on a machine, producing
 //!   [`RunStats`]: run time in cycles, fence/atomic stall breakdowns, cache
 //!   counters and device-side write amplification.
-//! * [`try_simulate`] / [`Machine::try_run`] — the panic-free pipeline:
-//!   traces are statically validated, replay runs under a deadlock
-//!   detector and a step-budget watchdog, and every failure is a typed
-//!   [`EngineError`] instead of a panic or a hang.
+//! * [`try_simulate`] / [`try_simulate_threads`] — the panic-free
+//!   pipeline: traces are statically validated, replay runs under a
+//!   deadlock detector and a step-budget watchdog, and every failure is a
+//!   typed [`EngineError`] instead of a panic or a hang.
+//!   [`try_simulate_threads_classified`] adds per-class request-latency
+//!   histograms.
+//! * [`try_simulate_stream_opts`] / [`try_simulate_stream_classified`] —
+//!   the same replay over a [`simcore::stream::EventSource`], pulled in
+//!   bounded chunks so the trace is never materialized.
+//! * [`Machine::try_run_until_crash`] / [`Machine::recover_and_resume`] —
+//!   simulated power failure and redo-log recovery (see [`crash`]).
+//! * [`simulate_reference`] / [`try_simulate_threads_reference`] — the
+//!   hashed reference engine the equivalence tests compare against.
+//!
+//! Every entry point is a thin wrapper over one private driver and one
+//! replay loop (see [`engine`]), so they all produce identical statistics
+//! for the same events.
 //!
 //! # Examples
 //!
@@ -41,12 +54,11 @@ pub mod tables;
 pub use config::{CostModel, MachineConfig, MemModel};
 pub use crash::{render_flight_jsonl, CrashImage, CrashOutcome, CrashReport, LostSite};
 pub use engine::{
-    simulate, simulate_reference, simulate_single, try_simulate, try_simulate_single,
-    try_simulate_stream, try_simulate_stream_classified, try_simulate_stream_opts,
-    try_simulate_threads, try_simulate_threads_classified, try_simulate_threads_reference,
-    Engine, Machine, StreamOptions, StreamReport,
+    simulate, simulate_reference, simulate_single, try_simulate, try_simulate_stream_classified,
+    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_classified,
+    try_simulate_threads_reference, Machine, StreamOptions, StreamReport,
 };
-pub use error::{BlockedAcquire, EngineError};
+pub use error::{BlockedAcquire, CrashImageField, EngineError};
 pub use simcore::faultinject::CrashPlan;
 pub use stats::{
     ts_channel, CoreStats, RunStats, SiteCounters, SiteScore, TsWindow, TS_CAPACITY, TS_CHANNELS,

@@ -11,7 +11,8 @@
 use crate::stats::RunStats;
 use simcore::telemetry::{self, Histogram, Metric};
 
-/// Whole-replay span (validate-free portion: `Engine::try_run`).
+/// Whole-replay span: engine construction, replay and finalize (validation
+/// and up-front interning excluded).
 pub(crate) static REPLAY: Metric = Metric::span("engine.replay");
 /// Completed replays.
 pub(crate) static REPLAYS: Metric = Metric::counter("engine.replays");

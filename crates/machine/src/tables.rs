@@ -14,7 +14,7 @@
 //!   ([`simcore::trace::validate_and_intern`]), so each table is a plain
 //!   `Vec` indexed by id. Entries are *epoch-stamped*: resetting all
 //!   tables for the next run is a single epoch bump, no clearing, which
-//!   lets one thread-local [`EngineScratch`] be recycled across the
+//!   lets one thread-local scratch set be recycled across the
 //!   thousands of replays a parameter sweep performs.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
 //!   behaviour. Kept for the equivalence suite
@@ -44,6 +44,13 @@ pub trait LineTables {
     /// the trace's pre-resolved id streams and installs an [`IdIndex`] on
     /// each cache only when this is true.
     const USE_IDS: bool;
+
+    /// Tables for a fresh run over `lines` interned ids. `recycled` holds
+    /// this thread's flat tables from its previous run: [`FlatTables`]
+    /// takes them over and resets them with one epoch bump, the hashed
+    /// reference leaves them alone (the inverse of
+    /// [`LineTables::recycle`]).
+    fn fresh(recycled: &mut FlatTables, lines: usize) -> Self;
 
     /// Which core's L1 holds `line` dirty, if any.
     fn owner_get(&self, id: LineId, line: Addr) -> Option<CoreId>;
@@ -286,6 +293,12 @@ impl FlatTables {
 impl LineTables for FlatTables {
     const USE_IDS: bool = true;
 
+    fn fresh(recycled: &mut FlatTables, lines: usize) -> Self {
+        let mut flat = std::mem::take(recycled);
+        flat.reset(lines);
+        flat
+    }
+
     #[inline]
     fn owner_get(&self, id: LineId, _line: Addr) -> Option<CoreId> {
         let f = self.flags(id);
@@ -461,6 +474,10 @@ pub struct HashTables {
 
 impl LineTables for HashTables {
     const USE_IDS: bool = false;
+
+    fn fresh(_recycled: &mut FlatTables, _lines: usize) -> Self {
+        Self::default()
+    }
 
     #[inline]
     fn owner_get(&self, _id: LineId, line: Addr) -> Option<CoreId> {

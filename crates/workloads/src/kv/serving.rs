@@ -6,11 +6,12 @@
 //! [`Clht`]/[`Masstree`] stores), this scenario synthesizes its events
 //! arithmetically as an [`EventSource`]: the request stream is generated
 //! chunk-by-chunk on demand and never held in memory, so runs of hundreds
-//! of millions of events replay through `machine::try_simulate_stream`
-//! inside a fixed pipeline budget. The *address* behaviour is the same
-//! protocol shape as the real stores — bucket probe, value access, bucket
-//! commit, durability fence — which is where pre-stores pay off; what is
-//! elided is the byte-level store content, irrelevant to replay.
+//! of millions of events replay through `machine::try_simulate_stream_opts`
+//! (the engine's one replay loop, over a streaming feed) inside a fixed
+//! pipeline budget. The *address* behaviour is the same protocol shape as
+//! the real stores — bucket probe, value access, bucket commit, durability
+//! fence — which is where pre-stores pay off; what is elided is the
+//! byte-level store content, irrelevant to replay.
 //!
 //! [`Clht`]: crate::kv::Clht
 //! [`Masstree`]: crate::kv::Masstree
@@ -341,7 +342,13 @@ pub fn materialize<S: EventSource>(source: &mut S, chunk: usize) -> Vec<ThreadTr
     source.reset();
     let mut out: Vec<ThreadTrace> = (0..source.threads()).map(|_| ThreadTrace::default()).collect();
     for (t, trace) in out.iter_mut().enumerate() {
-        while source.fill(t, chunk, &mut trace.events) > 0 {}
+        loop {
+            let before = trace.events.len();
+            source.fill(t, chunk, &mut trace.events);
+            if trace.events.len() == before {
+                break;
+            }
+        }
     }
     source.reset();
     out
