@@ -11,14 +11,15 @@ use simcore::{align_down, Addr, LineId};
 /// then go straight from a line's id to its slot instead of scanning the
 /// set's ways and comparing tags.
 ///
-/// Entries are epoch-stamped: `reset` bumps the epoch, instantly
-/// invalidating every stale mapping without touching the (potentially
-/// multi-megabyte) slot array, so the index can be recycled across runs.
+/// Each entry is 4 bytes: `slot + 1` while the line is resident, 0 while
+/// it is not. The cache clears an entry whenever its line leaves, and
+/// [`Cache::take_id_index`] clears the entries of the lines still
+/// resident, so an index that is not installed is all-zero and can be
+/// reused for the next run, whatever its id space, without a sweep.
 #[derive(Debug, Clone, Default)]
 pub struct IdIndex {
-    epoch: u32,
-    /// Per line id: `(epoch << 32) | (slot + 1)`.
-    slots: Vec<u64>,
+    /// Per line id: resident slot + 1, or 0.
+    slots: Vec<u32>,
 }
 
 impl IdIndex {
@@ -27,28 +28,18 @@ impl IdIndex {
         Self::default()
     }
 
-    /// Prepare the index for a run over `lines` interned lines: all
-    /// previous mappings become invalid in O(1) via an epoch bump.
+    /// Size the index for a run over `lines` interned lines. An index
+    /// that is not installed maps nothing (see the type docs), so this
+    /// only grows it.
     pub fn reset(&mut self, lines: usize) {
-        if self.slots.len() < lines {
-            self.slots.resize(lines, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap (one bump per replay — takes ~4 billion runs):
-                // pay the O(lines) re-zero once and restart the clock.
-                self.slots.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
+        debug_assert!(self.slots.iter().all(|&s| s == 0), "recycled index still maps lines");
+        self.grow(lines);
     }
 
-    /// Extend the index to cover `lines` ids *within the current epoch*
-    /// (no bump: existing mappings stay valid). Streaming replays intern
-    /// lines chunk-by-chunk mid-run, so the id space grows while cached
-    /// lines keep their slots; fresh entries are zero, which no epoch
-    /// (always ≥ 1 after a [`IdIndex::reset`]) ever matches.
+    /// Extend the index to cover `lines` ids; existing mappings stay
+    /// valid. Streaming replays intern lines chunk-by-chunk mid-run, so
+    /// the id space grows while cached lines keep their slots; fresh
+    /// entries are zero, which maps nothing.
     pub fn grow(&mut self, lines: usize) {
         if self.slots.len() < lines {
             self.slots.resize(lines, 0);
@@ -57,13 +48,12 @@ impl IdIndex {
 
     #[inline]
     fn get(&self, id: LineId) -> Option<usize> {
-        let e = self.slots[id.index()];
-        ((e >> 32) as u32 == self.epoch).then(|| (e & 0xFFFF_FFFF) as usize - 1)
+        self.slots[id.index()].checked_sub(1).map(|s| s as usize)
     }
 
     #[inline]
     fn set(&mut self, id: LineId, slot: usize) {
-        self.slots[id.index()] = ((self.epoch as u64) << 32) | (slot as u64 + 1);
+        self.slots[id.index()] = slot as u32 + 1;
     }
 
     #[inline]
@@ -228,9 +218,10 @@ impl Cache {
         }
     }
 
-    /// Install a [`LineId`] reverse index (already [`IdIndex::reset`] for
-    /// the trace's line count). From here on, the `*_id` operations resolve
-    /// residency in O(1) instead of scanning the set's ways.
+    /// Install a [`LineId`] reverse index (fresh or taken back from a
+    /// cache, and [`IdIndex::reset`] for the trace's line count). From
+    /// here on, the `*_id` operations resolve residency in O(1) instead of
+    /// scanning the set's ways.
     ///
     /// The cache must be empty (ids of already-resident lines are unknown),
     /// and once installed, *only* the `*_id` operations may mutate contents
@@ -241,9 +232,15 @@ impl Cache {
     }
 
     /// Remove and return the installed [`IdIndex`] so a caller can recycle
-    /// its allocation for the next run.
+    /// its allocation for the next run. The entries of the lines still
+    /// resident are cleared on the way out, so the returned index maps
+    /// nothing; the cache keeps its contents.
     pub fn take_id_index(&mut self) -> Option<IdIndex> {
-        self.index.take()
+        let mut ix = self.index.take()?;
+        for (s, _) in self.valid.iter().enumerate().filter(|&(_, &v)| v) {
+            ix.clear(LineId(self.ids[s]));
+        }
+        Some(ix)
     }
 
     /// Grow the installed [`IdIndex`] (if any) to cover `lines` ids
@@ -824,29 +821,40 @@ mod tests {
     }
 
     #[test]
-    fn id_index_epoch_reset_recycles() {
+    fn id_index_taken_from_a_warm_cache_maps_nothing() {
         let cfg = CacheConfig::from_capacity(512, 2, 64, ReplacementKind::Lru);
         let mut c = Cache::new(cfg, 1);
         let mut ix = IdIndex::new();
-        ix.reset(4);
+        ix.reset(8);
         c.install_id_index(ix);
         c.access_id(0, LineId(0), true);
         assert!(c.probe_id(0, LineId(0)));
         assert!(c.clean_line_id(0, LineId(0)));
         assert_eq!(c.invalidate_id(0, LineId(0)), Some(false));
         assert_eq!(c.invalidate_id(0, LineId(0)), None);
-        c.access_id(64, LineId(1), true);
-        // End of run: flush, recycle the index for a "new trace" where the
-        // same ids mean different lines.
-        let mut buf = Vec::new();
-        c.flush_all_into(&mut buf);
-        assert_eq!(buf.len(), 1);
+        // Fill every slot: the run ends with the cache full, not flushed.
+        for i in 0..8u32 {
+            c.access_id(u64::from(i) * 64, LineId(i), i % 2 == 0);
+        }
+        assert_eq!(c.resident(), 8);
         let mut ix = c.take_id_index().expect("an index was installed above");
-        ix.reset(4);
-        c.install_id_index(ix);
-        assert!(!c.probe_id(64, LineId(1)), "epoch bump invalidates stale mappings");
-        c.access_id(128, LineId(1), false);
-        assert!(c.probe_id(128, LineId(1)));
+        // Recycle it into an empty cache for a "new trace" in which the
+        // same ids name other lines (id i is now line 4096 + 64 * i): no
+        // probe may hit until the line has really been filled.
+        let mut fresh = Cache::new(cfg, 1);
+        ix.reset(8);
+        fresh.install_id_index(ix);
+        let line = |i: u32| 4096 + u64::from(i) * 64;
+        for i in 0..8u32 {
+            assert!(!fresh.probe_id(line(i), LineId(i)), "stale mapping for id {i}");
+            assert!(!fresh.hit_read(line(i), LineId(i)), "stale hit for id {i}");
+        }
+        for i in 0..8u32 {
+            assert!(!fresh.access_id(line(i), LineId(i), false).hit, "cold fill of id {i}");
+            assert!(fresh.probe_id(line(i), LineId(i)));
+        }
+        assert_eq!(fresh.stats().hits, 0);
+        assert_eq!(fresh.stats().misses, 8);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Machine descriptions: Machine A (x86 + Optane) and Machine B (ARM +
 //! FPGA), as evaluated in §3 and §7 of the paper.
 
+use crate::error::{ConfigField, EngineError};
 use cachesim::{CacheConfig, ReplacementKind};
 use memdev::{CxlSsd, Device, Dram, FpgaMem, OptanePmem};
 use simcore::Cycles;
@@ -190,6 +191,34 @@ impl MachineConfig {
                 .saturating_add(crate::engine::STEP_BUDGET_FLOOR)
         })
     }
+
+    /// Reject a configuration the engine cannot simulate, before anything
+    /// is allocated for it: the line arithmetic (interning, caches, WC
+    /// buffers) shifts and masks by a power-of-two line size shared by
+    /// every cache level, and the store buffer, its drain pipeline and the
+    /// write-combining pool each need at least one slot.
+    pub(crate) fn check(&self) -> Result<(), EngineError> {
+        let invalid = |field, value| Err(EngineError::InvalidConfig { field, value });
+        if !self.line_size.is_power_of_two() {
+            return invalid(ConfigField::LineSize, self.line_size);
+        }
+        if self.l1.line_size != self.line_size {
+            return invalid(ConfigField::L1LineSize, self.l1.line_size);
+        }
+        if self.llc.line_size != self.line_size {
+            return invalid(ConfigField::LlcLineSize, self.llc.line_size);
+        }
+        if self.store_buffer_entries == 0 {
+            return invalid(ConfigField::StoreBufferEntries, 0);
+        }
+        if self.sb_mlp == 0 {
+            return invalid(ConfigField::SbMlp, 0);
+        }
+        if self.wc_buffers == 0 {
+            return invalid(ConfigField::WcBuffers, 0);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +250,85 @@ mod tests {
         let m = MachineConfig::machine_a();
         let s = m.cycles_to_seconds(2_100_000_000);
         assert!((s - 1.0).abs() < 1e-9);
+    }
+
+    /// Replay a small valid trace on `cfg`, expecting the typed config
+    /// error for `field` with `value`.
+    fn assert_invalid(cfg: MachineConfig, field: ConfigField, value: u64) {
+        let mut t = simcore::Tracer::new();
+        t.write(0, 256);
+        t.fence();
+        let got = crate::try_simulate_threads(&cfg, &[t.finish()]);
+        assert_eq!(got.err(), Some(EngineError::InvalidConfig { field, value }));
+    }
+
+    #[test]
+    fn line_size_must_be_a_power_of_two() {
+        // The caches keep a valid geometry: the machine's own line size
+        // is what is wrong.
+        let cfg = MachineConfig { line_size: 96, ..MachineConfig::machine_a() };
+        assert_invalid(cfg, ConfigField::LineSize, 96);
+        let cfg = MachineConfig { line_size: 0, ..MachineConfig::machine_a() };
+        assert_invalid(cfg, ConfigField::LineSize, 0);
+        // The streaming entry points check before building their feed.
+        let cfg = MachineConfig { line_size: 96, ..MachineConfig::machine_a() };
+        let mut t = simcore::Tracer::new();
+        t.write(0, 256);
+        let threads = [t.finish()];
+        let mut source = simcore::stream::SliceSource::new(&threads);
+        let got = crate::try_simulate_stream_opts(&cfg, &mut source, Default::default());
+        assert!(matches!(
+            got,
+            Err(EngineError::InvalidConfig { field: ConfigField::LineSize, value: 96 })
+        ));
+    }
+
+    #[test]
+    fn panicking_entry_points_check_before_interning() {
+        let cfg = MachineConfig { line_size: 96, ..MachineConfig::machine_a() };
+        let mut t = simcore::Tracer::new();
+        t.write(0, 256);
+        let set = simcore::TraceSet::new(vec![t.finish()]);
+        let message = |run: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a bad line size must panic");
+            payload.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let want = "invalid machine config: line_size = 96";
+        assert!(message(&|| drop(crate::simulate(&cfg, &set))).contains(want));
+        assert!(message(&|| drop(crate::simulate_single(&cfg, &set.threads[0]))).contains(want));
+    }
+
+    #[test]
+    fn l1_line_size_must_match() {
+        let mut cfg = MachineConfig::machine_a();
+        cfg.l1 = CacheConfig::from_capacity(32 * 1024, 8, 128, ReplacementKind::TreePlru);
+        assert_invalid(cfg, ConfigField::L1LineSize, 128);
+    }
+
+    #[test]
+    fn llc_line_size_must_match() {
+        let mut cfg = MachineConfig::machine_b_fast();
+        cfg.llc = CacheConfig::from_capacity(2 * 1024 * 1024, 16, 64, ReplacementKind::Random);
+        assert_invalid(cfg, ConfigField::LlcLineSize, 64);
+    }
+
+    #[test]
+    fn store_buffer_entries_must_be_nonzero() {
+        let cfg = MachineConfig { store_buffer_entries: 0, ..MachineConfig::machine_a() };
+        assert_invalid(cfg, ConfigField::StoreBufferEntries, 0);
+    }
+
+    #[test]
+    fn sb_mlp_must_be_nonzero() {
+        let cfg = MachineConfig { sb_mlp: 0, ..MachineConfig::machine_b_slow() };
+        assert_invalid(cfg, ConfigField::SbMlp, 0);
+    }
+
+    #[test]
+    fn wc_buffers_must_be_nonzero() {
+        let cfg = MachineConfig { wc_buffers: 0, ..MachineConfig::machine_a() };
+        assert_invalid(cfg, ConfigField::WcBuffers, 0);
     }
 
     #[test]

@@ -377,15 +377,17 @@ struct Arming<'i> {
     resume: Option<&'i CrashImage>,
 }
 
-/// The one replay driver behind every public entry point: reject an empty
-/// trace set and a resume image that does not fit, ingest the feed, build
-/// and arm the engine, replay, then finalize — or freeze the machine if
-/// the armed crash plan fired.
+/// The one replay driver behind every public entry point: reject a
+/// machine configuration the engine cannot simulate, an empty trace set
+/// and a resume image that does not fit, ingest the feed, build and arm
+/// the engine, replay, then finalize — or freeze the machine if the armed
+/// crash plan fired.
 fn drive<T: LineTables, F: Feed>(
     cfg: &MachineConfig,
     feed: &mut F,
     arming: Arming<'_>,
 ) -> Result<CrashOutcome, EngineError> {
+    cfg.check()?;
     let cores = feed.threads();
     if cores == 0 {
         return Err(EngineError::EmptyTraceSet);
@@ -493,6 +495,8 @@ pub(crate) struct Engine<'a, T: LineTables = FlatTables> {
 /// error instead; unlike this function, it also validates the traces
 /// statically first.
 pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
+    // Interning is sized by the line size: check the machine first.
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
     let interned = traces.interned_for(cfg.line_size);
     let mut feed = TraceFeed::trusted(&traces.threads, Some(interned));
     drive_stats::<FlatTables, _>(cfg, &mut feed, None).unwrap_or_else(|e| panic!("{e}"))
@@ -507,6 +511,7 @@ pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
 /// [`try_simulate_threads`] for the fallible form.
 pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
     let threads = std::slice::from_ref(trace);
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
     let interned = InternedTraces::from_threads(threads, cfg.line_size);
     let mut feed = TraceFeed::trusted(threads, Some(Arc::new(interned)));
     drive_stats::<FlatTables, _>(cfg, &mut feed, None).unwrap_or_else(|e| panic!("{e}"))
@@ -541,6 +546,10 @@ pub fn try_simulate_threads_reference(
 ///
 /// Every failure is a typed [`EngineError`]:
 ///
+/// * [`EngineError::InvalidConfig`] — the machine cannot be simulated (a
+///   line size that is not a power of two, L1 or LLC line sizes that
+///   differ from it, zero store-buffer entries, drain parallelism or WC
+///   buffers); checked before anything is allocated.
 /// * [`EngineError::EmptyTraceSet`] — no threads to replay.
 /// * [`EngineError::MalformedTrace`] — static validation rejected an
 ///   event (zero-size/oversize access, acquire of release #0).
@@ -650,6 +659,9 @@ pub fn try_simulate_stream_opts<S: EventSource>(
     source: &mut S,
     opts: StreamOptions,
 ) -> Result<StreamReport, EngineError> {
+    // The feed's interner is sized by the line size: check the machine
+    // before building it (`drive` checks again, for every entry point).
+    cfg.check()?;
     let mut feed = SourceFeed::new(cfg, source, opts);
     let stats = drive_stats::<FlatTables, _>(cfg, &mut feed, None)?;
     Ok(feed.report(stats))
@@ -666,6 +678,7 @@ pub fn try_simulate_stream_classified<S: EventSource>(
     opts: StreamOptions,
     classifier: Box<dyn RequestClasses>,
 ) -> Result<StreamReport, EngineError> {
+    cfg.check()?;
     let mut feed = SourceFeed::new(cfg, source, opts);
     let stats = drive_stats::<FlatTables, _>(cfg, &mut feed, Some(classifier))?;
     Ok(feed.report(stats))
@@ -1114,8 +1127,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// [`cachesim::IdIndex`]es) to the feed's interned lines and return
     /// `true` (the caller re-derives the step budget). A streaming feed
     /// interns new lines chunk-by-chunk mid-run, so the id space grows
-    /// while existing entries keep their state — growth never bumps an
-    /// epoch (see [`FlatTables::grow`] for why that is sound).
+    /// while existing entries keep their state: growth never bumps the
+    /// tables' epoch (see [`FlatTables::grow`] for why that is sound), and
+    /// new id-index entries are zero, which maps nothing.
     fn refill_spent<F: Feed>(
         &mut self,
         feed: &mut F,
@@ -1984,6 +1998,71 @@ mod tests {
         let mut t = Tracer::new();
         f(&mut t);
         t.finish()
+    }
+
+    /// Two threads over lines at `base`: writes, cleans, NT stores and
+    /// re-reads on thread 0, released to thread 1 through an atomic, so
+    /// every flat table and both cache levels carry state at the end.
+    fn recycling_workload(base: u64, lines: u64, stride: u64) -> Vec<ThreadTrace> {
+        let flag = base + (1 << 36);
+        let t0 = trace_of(|t| {
+            for i in 0..lines {
+                let a = base + i * stride;
+                t.write(a, 48);
+                if i % 3 == 0 {
+                    t.prestore(a, 48, PrestoreOp::Clean);
+                }
+                if i % 5 == 0 {
+                    t.nt_write(a + stride / 2, 64);
+                }
+            }
+            t.atomic(flag, 8);
+            for i in (0..lines).step_by(7) {
+                t.read(base + i * stride, 8);
+            }
+            t.fence();
+        });
+        let t1 = trace_of(|t| {
+            t.acquire(flag, 1);
+            for i in (0..lines).rev().step_by(2) {
+                t.read(base + i * stride, 16);
+            }
+            t.fence();
+        });
+        vec![t0, t1]
+    }
+
+    #[test]
+    fn recycled_scratch_replays_like_a_fresh_thread() {
+        // Trace A overflows the LLC and ends with both cache levels full
+        // (the run ends without a flush) and its cold tables populated;
+        // trace B names different lines with the same dense ids. Replaying B on a thread that recycled
+        // A's tables and id indices — and on one whose scratch a failed
+        // replay dropped mid-run — must match B on a brand-new thread.
+        let a = recycling_workload(0, 40_000, 64);
+        let b = recycling_workload(1 << 32, 5000, 4096);
+        for cfg in [MachineConfig::machine_a(), MachineConfig::machine_b_fast()] {
+            let fresh = {
+                let (cfg, b) = (cfg.clone(), b.clone());
+                std::thread::spawn(move || try_simulate_threads(&cfg, &b).unwrap())
+                    .join()
+                    .expect("fresh-thread replay")
+            };
+            try_simulate_threads(&cfg, &a).unwrap();
+            assert_eq!(try_simulate_threads(&cfg, &b).unwrap(), fresh, "B after A");
+            let tiny = MachineConfig { step_budget: Some(50), ..cfg.clone() };
+            assert!(matches!(
+                try_simulate_threads(&tiny, &a),
+                Err(EngineError::StepBudgetExceeded { .. })
+            ));
+            assert_eq!(try_simulate_threads(&cfg, &b).unwrap(), fresh, "B after a failed run");
+            try_simulate_threads(&cfg, &a).unwrap();
+            let mut src = simcore::SliceSource::new(&b);
+            let streamed =
+                try_simulate_stream_opts(&cfg, &mut src, StreamOptions { chunk_events: 333 })
+                    .unwrap();
+            assert_eq!(streamed.stats, fresh, "streamed B after A");
+        }
     }
 
     #[test]

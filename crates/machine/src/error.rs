@@ -33,9 +33,62 @@ pub enum CrashImageField {
     Pc(CoreId),
 }
 
+/// A [`crate::MachineConfig`] field the engine cannot simulate (see
+/// [`EngineError::InvalidConfig`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigField {
+    /// `line_size`: must be a power of two.
+    LineSize,
+    /// `l1.line_size`: must equal `line_size`.
+    L1LineSize,
+    /// `llc.line_size`: must equal `line_size`.
+    LlcLineSize,
+    /// `store_buffer_entries`: must be nonzero.
+    StoreBufferEntries,
+    /// `sb_mlp`: must be nonzero.
+    SbMlp,
+    /// `wc_buffers`: must be nonzero.
+    WcBuffers,
+}
+
+impl ConfigField {
+    /// The field's path in [`crate::MachineConfig`].
+    fn name(self) -> &'static str {
+        match self {
+            ConfigField::LineSize => "line_size",
+            ConfigField::L1LineSize => "l1.line_size",
+            ConfigField::LlcLineSize => "llc.line_size",
+            ConfigField::StoreBufferEntries => "store_buffer_entries",
+            ConfigField::SbMlp => "sb_mlp",
+            ConfigField::WcBuffers => "wc_buffers",
+        }
+    }
+
+    /// What the engine requires of the field.
+    fn requirement(self) -> &'static str {
+        match self {
+            ConfigField::LineSize => "must be a power of two",
+            ConfigField::L1LineSize | ConfigField::LlcLineSize => "must equal line_size",
+            ConfigField::StoreBufferEntries | ConfigField::SbMlp | ConfigField::WcBuffers => {
+                "must be nonzero"
+            }
+        }
+    }
+}
+
 /// Why a replay could not produce [`crate::RunStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
+    /// The machine configuration cannot be simulated: a line size that is
+    /// not a power of two, cache line sizes that differ from the
+    /// machine's, or an empty store buffer, drain pipeline or
+    /// write-combining pool. Checked before anything is allocated.
+    InvalidConfig {
+        /// The offending field.
+        field: ConfigField,
+        /// Its value.
+        value: u64,
+    },
     /// The trace set has no threads; there is nothing to replay.
     EmptyTraceSet,
     /// The trace set failed static validation (zero-size or implausibly
@@ -106,6 +159,12 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EngineError::InvalidConfig { field, value } => write!(
+                f,
+                "invalid machine config: {} = {value} ({})",
+                field.name(),
+                field.requirement()
+            ),
             EngineError::EmptyTraceSet => write!(f, "empty trace set: nothing to replay"),
             EngineError::MalformedTrace(e) => write!(f, "malformed trace: {e}"),
             EngineError::AcquireUnsatisfiable { core, index, line, seq, available } => write!(
@@ -231,6 +290,14 @@ mod tests {
         );
         let z = ValidateError::ZeroSizeAccess { thread: 0, index: 0, kind: EventKind::Read, addr: 0 };
         assert_eq!(EngineError::from(z), EngineError::MalformedTrace(z));
+    }
+
+    #[test]
+    fn invalid_config_display_names_field_value_and_requirement() {
+        let e = EngineError::InvalidConfig { field: ConfigField::L1LineSize, value: 128 };
+        let msg = e.to_string();
+        assert!(msg.contains("l1.line_size = 128"), "{msg}");
+        assert!(msg.contains("must equal line_size"), "{msg}");
     }
 
     #[test]

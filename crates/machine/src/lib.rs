@@ -58,7 +58,7 @@ pub use engine::{
     try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_classified,
     try_simulate_threads_reference, Machine, StreamOptions, StreamReport,
 };
-pub use error::{BlockedAcquire, CrashImageField, EngineError};
+pub use error::{BlockedAcquire, ConfigField, CrashImageField, EngineError};
 pub use simcore::faultinject::CrashPlan;
 pub use stats::{
     ts_channel, CoreStats, RunStats, SiteCounters, SiteScore, TsWindow, TS_CAPACITY, TS_CHANNELS,

@@ -10,12 +10,17 @@
 //! module provides:
 //!
 //! * [`FlatTables`] — the production path. Every line address has been
-//!   interned to a dense [`LineId`] during validation
-//!   ([`simcore::trace::validate_and_intern`]), so each table is a plain
-//!   `Vec` indexed by id. Entries are *epoch-stamped*: resetting all
-//!   tables for the next run is a single epoch bump, no clearing, which
-//!   lets one thread-local scratch set be recycled across the
-//!   thousands of replays a parameter sweep performs.
+//!   interned to a dense [`LineId`] during ingestion
+//!   ([`simcore::intern`]), so each table is a plain `Vec` indexed by id.
+//!   One 8-byte *hot* entry per line holds an epoch stamp and the flags
+//!   saying which concerns the line carries: resetting all tables for
+//!   the next run is a single epoch bump, no clearing, which lets one
+//!   thread-local scratch set be recycled across the thousands of
+//!   replays a parameter sweep performs. Each rare concern (in-flight
+//!   writebacks, in-flight NT stores, releases, first-dirty tags) has a
+//!   *cold* table of its own, gated by its flag bit and allocated only
+//!   when a run first sets it, so per-line memory follows what a run
+//!   actually does.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
 //!   behaviour. Kept for the equivalence suite
 //!   (`crates/bench/tests/intern_equivalence.rs`) and the
@@ -116,16 +121,16 @@ pub trait LineTables {
     );
 }
 
-/// The always-touched half of a line's state: an epoch stamp plus a packed
+/// The always-touched part of a line's state: an epoch stamp plus a packed
 /// flags-and-owner word. 8 bytes per line, so eight lines of state share
 /// one hardware cache line — this is the table every per-line lookup hits,
 /// and on footprint-sized traces its density is what decides whether the
 /// flat path beats hashing.
 ///
-/// A stale `epoch` means the whole entry (hot and cold) is logically
-/// absent. Within the current epoch, bits [`OWNER`] | [`WB`] | [`NT`] |
-/// [`REL`] of `flags` say which concerns are present; the owning core is
-/// packed into `flags >> OWNER_SHIFT`.
+/// A stale `epoch` means the line's whole state (hot, cold and dirt) is
+/// logically absent. Within the current epoch, bits [`OWNER`] | [`WB`] |
+/// [`NT`] | [`REL`] | [`DIRT`] of `flags` say which concerns are present;
+/// the owning core is packed into `flags >> OWNER_SHIFT`.
 /// `repr(C)` so the epoch-validity sweep ([`FlatTables::live_lines`]) can
 /// view the hot table as `[epoch, flags]` pairs for the vectorized scan.
 #[derive(Debug, Clone, Copy, Default)]
@@ -135,17 +140,12 @@ struct HotEntry {
     flags: u32,
 }
 
-/// The rarely-present half of a line's state: in-flight writeback and
-/// NT-store completion times and the release count/time. Only read when
-/// the matching [`HotEntry`] flag bit is set, and always fully written on
-/// set, so it needs no epoch of its own — replay paths that never clean,
-/// NT-store or release (the common case) never touch this table at all.
+/// A line's release sequencing: how many times it was released this run
+/// and when the latest release happened. Gated by the [`REL`] flag.
 #[derive(Debug, Clone, Copy, Default)]
-struct ColdEntry {
-    wb_done: Cycles,
-    nt_done: Cycles,
-    rel_when: Cycles,
-    rel_count: u32,
+struct RelEntry {
+    when: Cycles,
+    count: u32,
 }
 
 /// [`HotEntry::flags`] bit: a core owns the line dirty.
@@ -163,7 +163,7 @@ const OWNER_SHIFT: u32 = 8;
 
 /// First-dirty attribution tag: which trace site dirtied the line and at
 /// which replay step. Lives in its own lazily-sized table (like the cold
-/// timestamps) gated by the [`DIRT`] flag, and is always fully written
+/// tables) gated by the [`DIRT`] flag, and is always fully written
 /// before the flag is set, so it needs no epoch of its own.
 #[derive(Debug, Clone, Copy)]
 struct DirtEntry {
@@ -178,15 +178,30 @@ impl Default for DirtEntry {
 }
 
 /// Dense, epoch-stamped per-line state tables (the production path).
+///
+/// Only the hot table is epoch-stamped. The rare concerns — in-flight
+/// writebacks, in-flight NT stores, releases, first-dirty tags — each
+/// live in a table of their own, gated by their flag bit in the hot
+/// entry and sized lazily by their own first setter, so a run pays per
+/// line only for the concerns it exercises: of the cold tables, a run
+/// that cleans but never NT-stores or releases allocates only the 8-B
+/// writeback one.
 #[derive(Debug, Default)]
 pub struct FlatTables {
     epoch: u32,
     /// Per line id: presence flags + owner (hot: touched by every lookup).
     hot: Vec<HotEntry>,
-    /// Per line id: timestamps gated by `hot` flags (cold: rare concerns).
-    cold: Vec<ColdEntry>,
-    /// Per line id: first-dirty site tags gated by the [`DIRT`] flag
-    /// (lazily sized like `cold`).
+    /// Per line id: in-flight clean-initiated writeback completion times,
+    /// gated by [`WB`] (cold: lazily sized).
+    wb: Vec<Cycles>,
+    /// Per line id: in-flight non-temporal store completion times, gated
+    /// by [`NT`] (cold: lazily sized).
+    nt: Vec<Cycles>,
+    /// Per line id: release counts and times, gated by [`REL`] (cold:
+    /// lazily sized).
+    rel: Vec<RelEntry>,
+    /// Per line id: first-dirty site tags, gated by [`DIRT`] (lazily
+    /// sized like the cold tables).
     dirt: Vec<DirtEntry>,
     /// Per function index: cycles attributed this run.
     func: Vec<Cycles>,
@@ -206,16 +221,16 @@ impl FlatTables {
         crate::probes::TABLE_EPOCHS.inc();
         if self.hot.len() < lines {
             self.hot.resize(lines, HotEntry::default());
-            // `cold` is sized lazily by the first wb/nt/release setter:
+            // The cold tables are sized lazily by their own setters:
             // replays that never clean, NT-store or release (most figure
-            // workloads) skip faulting in the whole cold table.
+            // workloads) never fault them in.
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
             None => {
                 // Epoch wrap: pay one O(lines) re-zero and restart. A
                 // stale stamp could otherwise collide with the new epoch.
-                // (The cold table is flag-gated, so it needs no re-zero.)
+                // (The cold tables are flag-gated, so they need no re-zero.)
                 crate::probes::TABLE_EPOCH_WRAPS.inc();
                 self.hot.iter_mut().for_each(|e| *e = HotEntry::default());
                 1
@@ -265,29 +280,19 @@ impl FlatTables {
         };
         simcore::simd::count_live_pairs(pairs, self.epoch)
     }
+}
 
-    /// The cold entry for `id`, growing the table on first use. Cold state
-    /// is always fully written before its flag bit is set, so the getters
-    /// (which are flag-gated) can index unconditionally.
-    #[inline]
-    fn cold_mut(&mut self, id: LineId) -> &mut ColdEntry {
-        let idx = id.index();
-        if idx >= self.cold.len() {
-            self.cold.resize(self.hot.len().max(idx + 1), ColdEntry::default());
-        }
-        &mut self.cold[idx]
+/// `table`'s entry for `id`, growing the table to cover the run's `lines`
+/// ids on first use. Every flag-gated table (cold and dirt) is always
+/// fully written before its flag bit is set, so its getters — which check
+/// the flag first — can index unconditionally.
+#[inline]
+fn lazy_entry<E: Copy + Default>(table: &mut Vec<E>, id: LineId, lines: usize) -> &mut E {
+    let idx = id.index();
+    if idx >= table.len() {
+        table.resize(lines.max(idx + 1), E::default());
     }
-
-    /// The dirt entry for `id`, growing the table on first use (same
-    /// full-write-before-flag discipline as [`FlatTables::cold_mut`]).
-    #[inline]
-    fn dirt_mut(&mut self, id: LineId) -> &mut DirtEntry {
-        let idx = id.index();
-        if idx >= self.dirt.len() {
-            self.dirt.resize(self.hot.len().max(idx + 1), DirtEntry::default());
-        }
-        &mut self.dirt[idx]
-    }
+    &mut table[idx]
 }
 
 impl LineTables for FlatTables {
@@ -324,13 +329,13 @@ impl LineTables for FlatTables {
     fn wb_get(&self, id: LineId, _line: Addr) -> Option<Cycles> {
         // `then` (not `then_some`): the cold table is only touched when the
         // flag says the state exists.
-        (self.flags(id) & WB != 0).then(|| self.cold[id.index()].wb_done)
+        (self.flags(id) & WB != 0).then(|| self.wb[id.index()])
     }
 
     #[inline]
     fn wb_set(&mut self, id: LineId, _line: Addr, done: Cycles) {
         *self.flags_mut(id) |= WB;
-        self.cold_mut(id).wb_done = done;
+        *lazy_entry(&mut self.wb, id, self.hot.len()) = done;
     }
 
     #[inline]
@@ -340,13 +345,13 @@ impl LineTables for FlatTables {
 
     #[inline]
     fn nt_get(&self, id: LineId, _line: Addr) -> Option<Cycles> {
-        (self.flags(id) & NT != 0).then(|| self.cold[id.index()].nt_done)
+        (self.flags(id) & NT != 0).then(|| self.nt[id.index()])
     }
 
     #[inline]
     fn nt_set(&mut self, id: LineId, _line: Addr, done: Cycles) {
         *self.flags_mut(id) |= NT;
-        self.cold_mut(id).nt_done = done;
+        *lazy_entry(&mut self.nt, id, self.hot.len()) = done;
     }
 
     #[inline]
@@ -357,8 +362,8 @@ impl LineTables for FlatTables {
     #[inline]
     fn release_get(&self, id: LineId, _line: Addr) -> Option<(u32, Cycles)> {
         (self.flags(id) & REL != 0).then(|| {
-            let c = &self.cold[id.index()];
-            (c.rel_count, c.rel_when)
+            let r = &self.rel[id.index()];
+            (r.count, r.when)
         })
     }
 
@@ -367,17 +372,15 @@ impl LineTables for FlatTables {
         let f = self.flags_mut(id);
         let first = *f & REL == 0;
         *f |= REL;
-        let c = self.cold_mut(id);
-        c.rel_count = if first { 1 } else { c.rel_count + 1 };
-        c.rel_when = now;
+        let r = lazy_entry(&mut self.rel, id, self.hot.len());
+        r.count = if first { 1 } else { r.count + 1 };
+        r.when = now;
     }
 
     #[inline]
     fn release_restore(&mut self, id: LineId, _line: Addr, count: u32) {
         *self.flags_mut(id) |= REL;
-        let c = self.cold_mut(id);
-        c.rel_count = count;
-        c.rel_when = 0;
+        *lazy_entry(&mut self.rel, id, self.hot.len()) = RelEntry { when: 0, count };
     }
 
     #[inline]
@@ -387,7 +390,7 @@ impl LineTables for FlatTables {
             return; // first-dirty wins
         }
         *f |= DIRT;
-        *self.dirt_mut(id) = DirtEntry { site, step };
+        *lazy_entry(&mut self.dirt, id, self.hot.len()) = DirtEntry { site, step };
     }
 
     #[inline]
@@ -413,8 +416,8 @@ impl LineTables for FlatTables {
     fn grow(&mut self, lines: usize) {
         // New entries carry epoch 0, which never matches the current epoch
         // (≥ 1 after any `reset`), so they read as logically absent — no
-        // epoch bump, existing entries keep their state. `cold` and `dirt`
-        // stay lazily sized by their accessors.
+        // epoch bump, existing entries keep their state. The cold and dirt
+        // tables stay lazily sized by their setters.
         if self.hot.len() < lines {
             self.hot.resize(lines, HotEntry::default());
         }

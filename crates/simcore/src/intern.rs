@@ -5,10 +5,19 @@
 //! Trace-driven simulators spend a surprising fraction of their time
 //! re-hashing the same line addresses (the engine consults up to five
 //! per-line maps per event). The set of distinct lines is fixed the moment
-//! a trace exists, so we pay one hash per *line occurrence* here — during
-//! validation, a pass that is already mandatory — and zero hashes during
-//! replay. The id space is dense (`0..len`), which is what makes
-//! epoch-stamped `Vec` state tables in `machine::engine` possible.
+//! a trace exists, so ids are resolved here — during ingestion, a pass
+//! that is already mandatory — and the replay hashes nothing. The id
+//! space is dense (`0..len`), which is what makes the plain `Vec` state
+//! tables in `machine::tables` possible.
+//!
+//! Ids resolve through a two-level *page directory*: an `FxHashMap` from a
+//! page of 16 consecutive lines to a block of 16 `u32` id slots (one 64-B
+//! host line; `u32::MAX` marks an absent line). A hash is paid only when
+//! consecutive lookups change page, so a dense run of lines costs one hash
+//! per page instead of one per line occurrence, and the directory holds
+//! one entry per touched page instead of one per line. A fully sparse
+//! trace (one line per page) is the worst case: 64 B of slots plus one
+//! directory entry per line.
 //!
 //! The interning rules mirror the engine's event splitting exactly:
 //! accesses intern every line of [`crate::blocks_touched`], atomics and
@@ -16,9 +25,7 @@
 //! compute events intern nothing. If the engine touches a line, the
 //! interner knows it.
 
-use crate::{
-    align_down, blocks_touched, Addr, Event, EventKind, FxHashMap, ThreadTrace, ValidateError,
-};
+use crate::{blocks_touched, Addr, Event, EventKind, FxHashMap, ThreadTrace, ValidateError};
 
 /// Dense identifier of a line-aligned address within one trace set.
 ///
@@ -63,7 +70,22 @@ impl LineId {
 #[derive(Debug, Clone)]
 pub struct LineInterner {
     line_size: u64,
-    map: FxHashMap<Addr, LineId>,
+    /// `log2` of the line size (0 for the line-size-0 default interner,
+    /// which resolves every address as its own line).
+    shift: u32,
+    /// `line_size - 1` (0 for the default interner): the offset bits an
+    /// aligned line address has clear.
+    offset_mask: u64,
+    /// The page directory: page number (`line >> shift >> PAGE_SHIFT`) to
+    /// its block's index in `blocks`.
+    dir: FxHashMap<u64, u32>,
+    /// One block of id slots per touched page, in first-touch order.
+    blocks: Vec<IdBlock>,
+    /// The page `try_intern` resolved last and its block index, so runs
+    /// of lines within one page skip the directory hash. [`NO_PAGE`]
+    /// until the first intern.
+    last_page: u64,
+    last_block: u32,
     lines: Vec<Addr>,
     /// Refuse to intern more than this many distinct lines. The default,
     /// [`LineInterner::DEFAULT_MAX_LINES`], is the full dense-id space;
@@ -71,14 +93,29 @@ pub struct LineInterner {
     max_lines: u32,
 }
 
+/// Lines per page-directory block.
+const PAGE_LINES: usize = 16;
+/// `log2(PAGE_LINES)`.
+const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
+/// An empty id slot.
+const ABSENT: u32 = u32::MAX;
+/// [`LineInterner::last_page`] before any page was resolved. No real page
+/// number reaches it: a page number has at least [`PAGE_SHIFT`] leading
+/// zero bits.
+const NO_PAGE: u64 = u64::MAX;
+
+/// The id slots of one directory page: exactly one 64-B host cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct IdBlock([u32; PAGE_LINES]);
+
+impl IdBlock {
+    const EMPTY: IdBlock = IdBlock([ABSENT; PAGE_LINES]);
+}
+
 impl Default for LineInterner {
     fn default() -> Self {
-        Self {
-            line_size: 0,
-            map: FxHashMap::default(),
-            lines: Vec::new(),
-            max_lines: Self::DEFAULT_MAX_LINES,
-        }
+        Self::build(0, Self::DEFAULT_MAX_LINES)
     }
 }
 
@@ -97,7 +134,22 @@ impl LineInterner {
     /// reach the [`ValidateError::TooManyLines`] path cheaply.
     pub fn with_max_lines(line_size: u64, max_lines: u32) -> Self {
         debug_assert!(line_size.is_power_of_two());
-        Self { line_size, map: FxHashMap::default(), lines: Vec::new(), max_lines }
+        Self::build(line_size, max_lines)
+    }
+
+    fn build(line_size: u64, max_lines: u32) -> Self {
+        let unit = line_size.max(1);
+        Self {
+            line_size,
+            shift: unit.trailing_zeros(),
+            offset_mask: unit - 1,
+            dir: FxHashMap::default(),
+            blocks: Vec::new(),
+            last_page: NO_PAGE,
+            last_block: 0,
+            lines: Vec::new(),
+            max_lines,
+        }
     }
 
     /// The line size this interner splits on.
@@ -117,26 +169,64 @@ impl LineInterner {
         self.lines.is_empty()
     }
 
+    /// A line's page number and its slot within the page's block.
+    #[inline]
+    fn page_slot(&self, line: Addr) -> (u64, usize) {
+        let n = line >> self.shift;
+        (n >> PAGE_SHIFT, n as usize & (PAGE_LINES - 1))
+    }
+
+    /// The error for one line more than the id space holds.
+    fn exhausted(&self) -> ValidateError {
+        ValidateError::TooManyLines {
+            needed: self.lines.len() as u64 + 1,
+            limit: self.max_lines as u64,
+        }
+    }
+
     /// Intern a line-aligned address, assigning the next dense id on first
     /// sight. Errors with [`ValidateError::TooManyLines`] once the id
-    /// space (`max_lines`) is exhausted — the map and id assignment are
-    /// left untouched, so the interner stays usable for known lines.
+    /// space (`max_lines`) is exhausted — the directory and id assignment
+    /// are left untouched, so the interner stays usable for known lines.
     #[inline]
     pub fn try_intern(&mut self, line: Addr) -> Result<LineId, ValidateError> {
-        debug_assert_eq!(line, align_down(line, self.line_size));
-        if let Some(&id) = self.map.get(&line) {
-            return Ok(id);
+        debug_assert_eq!(line & self.offset_mask, 0, "unaligned line {line:#x}");
+        let (page, slot) = self.page_slot(line);
+        if page != self.last_page {
+            self.enter_page(page)?;
+        }
+        let id = self.blocks[self.last_block as usize].0[slot];
+        if id != ABSENT {
+            return Ok(LineId(id));
         }
         if self.lines.len() >= self.max_lines as usize {
-            return Err(ValidateError::TooManyLines {
-                needed: self.lines.len() as u64 + 1,
-                limit: self.max_lines as u64,
-            });
+            return Err(self.exhausted());
         }
-        let id = LineId(self.lines.len() as u32);
-        self.map.insert(line, id);
+        let id = self.lines.len() as u32;
+        self.blocks[self.last_block as usize].0[slot] = id;
         self.lines.push(line);
-        Ok(id)
+        Ok(LineId(id))
+    }
+
+    /// Make `page` the cached page, allocating its block on first touch.
+    /// A new block is only allocated when the id space has room for the
+    /// line about to land in it, so every block holds at least one id and
+    /// block indices fit in `u32`.
+    fn enter_page(&mut self, page: u64) -> Result<(), ValidateError> {
+        use std::collections::hash_map::Entry;
+        let next = self.blocks.len() as u32;
+        let full = self.lines.len() >= self.max_lines as usize;
+        self.last_block = match self.dir.entry(page) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(_) if full => return Err(self.exhausted()),
+            Entry::Vacant(e) => {
+                e.insert(next);
+                self.blocks.push(IdBlock::EMPTY);
+                next
+            }
+        };
+        self.last_page = page;
+        Ok(())
     }
 
     /// Intern a line-aligned address, assigning the next dense id on first
@@ -158,7 +248,7 @@ impl LineInterner {
     /// address.
     #[inline]
     pub fn try_intern_addr(&mut self, addr: Addr) -> Result<LineId, ValidateError> {
-        self.try_intern(align_down(addr, self.line_size))
+        self.try_intern(addr & !self.offset_mask)
     }
 
     /// Intern the line containing an arbitrary address.
@@ -168,13 +258,20 @@ impl LineInterner {
     /// On id-space exhaustion, like [`LineInterner::intern`].
     #[inline]
     pub fn intern_addr(&mut self, addr: Addr) -> LineId {
-        self.intern(align_down(addr, self.line_size))
+        self.intern(addr & !self.offset_mask)
     }
 
-    /// The id of a line-aligned address, if it was interned.
+    /// The id of a line-aligned address, if it was interned (`None` for
+    /// an unaligned address).
     #[inline]
     pub fn id_of(&self, line: Addr) -> Option<LineId> {
-        self.map.get(&line).copied()
+        if line & self.offset_mask != 0 {
+            return None;
+        }
+        let (page, slot) = self.page_slot(line);
+        let block = *self.dir.get(&page)?;
+        let id = self.blocks[block as usize].0[slot];
+        (id != ABSENT).then_some(LineId(id))
     }
 
     /// The line address behind an id (panics on a foreign id).
@@ -209,7 +306,7 @@ impl LineInterner {
             | EventKind::NtWrite
             | EventKind::PrestoreClean
             | EventKind::PrestoreDemote => {
-                for line in blocks_touched(ev.addr, ev.size as u64, self.line_size) {
+                for line in blocks_touched(ev.addr, ev.size as u64, self.offset_mask + 1) {
                     sink(self.try_intern(line)?);
                 }
             }
@@ -263,11 +360,11 @@ struct IdStream {
 /// of threads: every line id the replay engine will need, pre-resolved in
 /// replay order.
 ///
-/// Resolving ids during replay would hash into a map sized by the trace's
-/// whole line footprint — cache-cold by construction, unlike the small
-/// resident-bounded per-line maps it replaces. Pre-resolving turns the hot
-/// loop's id lookups into a sequential, prefetch-friendly array walk; the
-/// one hash per line occurrence is paid here, in the same mandatory pass
+/// Resolving ids during replay would probe a directory sized by the
+/// trace's whole line footprint — cache-cold by construction, unlike the
+/// small resident-bounded per-line maps it replaces. Pre-resolving turns
+/// the hot loop's id lookups into a sequential, prefetch-friendly array
+/// walk; the directory lookups are paid here, in the same mandatory pass
 /// that validates (or first walks) the trace.
 #[derive(Debug, Default, Clone)]
 pub struct InternedTraces {
